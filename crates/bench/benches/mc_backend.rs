@@ -52,6 +52,25 @@ fn bench_mc_vs_convolution(c: &mut Criterion) {
             },
         );
     }
+    // The entries above time the warm per-width result memo. A fresh
+    // processing corner pays the thread's whole sweep plan first: the
+    // pitch kernel, the first-gap masses and the 40 001-row renewal sweep
+    // out to the `W_min` solver's 2000 nm bracket edge. Each iteration
+    // steps `pf` to the next f64, so no iteration reuses a plan.
+    let renewal = model.renewal();
+    let mut cold_pf = pf;
+    group.bench_with_input(
+        BenchmarkId::new("convolution_cold", 2000),
+        &2000.0,
+        |b, &w| {
+            b.iter(|| {
+                cold_pf = cold_pf.next_up();
+                renewal
+                    .failure_probability(black_box(w), cold_pf)
+                    .expect("computable")
+            })
+        },
+    );
     group.finish();
 }
 

@@ -35,11 +35,13 @@ impl Json {
     /// # Errors
     ///
     /// [`PipelineError::Parse`] with a 1-based line number on malformed
-    /// input.
+    /// input, including arrays and objects nested deeper than
+    /// [`MAX_NESTING_DEPTH`].
     pub fn parse(src: &str) -> Result<Json> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -248,9 +250,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of `[`s
+/// overflow the stack and abort the process; every document this crate
+/// reads nests fewer than ten levels.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -310,8 +320,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_NESTING_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -320,6 +333,14 @@ impl Parser<'_> {
             Some(b) => Err(self.err(format!("unexpected character `{}`", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json> {
@@ -515,6 +536,20 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("12 34").is_err(), "trailing content");
         assert!(Json::parse("1e999").is_err(), "non-finite number");
+    }
+
+    #[test]
+    fn nesting_depth_is_limited() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(Json::parse(&nested(MAX_NESTING_DEPTH)).is_ok(), "{open}");
+            assert!(matches!(
+                Json::parse(&nested(MAX_NESTING_DEPTH + 1)),
+                Err(PipelineError::Parse { line: 1, .. })
+            ));
+        }
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

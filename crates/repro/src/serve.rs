@@ -182,13 +182,32 @@ pub fn run(options: &ServeOptions) -> Result<()> {
 
     // Reader: stdin lines into a small bounded channel, so the intake
     // loop below can interleave line intake with SIGTERM/hang-up polls.
-    // Detached by design — a reader blocked on a quiet stdin must not
-    // delay a drain-and-exit.
+    // Lines are read as bytes and decoded lossily: invalid UTF-8 becomes
+    // U+FFFD, so that line is answered `bad_request` like any other
+    // malformed JSON instead of ending the session. Detached by design —
+    // a reader blocked on a quiet stdin must not delay a drain-and-exit.
     let (line_tx, line_rx) = mpsc::sync_channel::<std::io::Result<String>>(64);
     std::thread::spawn(move || {
-        for line in std::io::stdin().lock().lines() {
-            if line_tx.send(line).is_err() {
-                return;
+        let mut stdin = std::io::stdin().lock();
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            match stdin.read_until(b'\n', &mut buf) {
+                Ok(0) => return,
+                Ok(_) => {
+                    let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    if line_tx
+                        .send(Ok(String::from_utf8_lossy(line).into_owned()))
+                        .is_err()
+                    {
+                        return;
+                    }
+                }
+                Err(e) => {
+                    let _ = line_tx.send(Err(e));
+                    return;
+                }
             }
         }
     });

@@ -5,8 +5,9 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-/// Run `repro serve` with `args`, feed it `input`, return its stdout.
-fn serve_session(args: &[&str], input: &str) -> String {
+/// Run `repro serve` with `args`, feed it the bytes of `input`, return
+/// its stdout.
+fn serve_session(args: &[&str], input: impl AsRef<[u8]>) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("serve")
         .args(args)
@@ -19,7 +20,7 @@ fn serve_session(args: &[&str], input: &str) -> String {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("write requests");
     let out = child.wait_with_output().expect("daemon runs to EOF");
     assert!(
@@ -48,7 +49,7 @@ fn response_id(line: &str) -> &str {
 
 #[test]
 fn serve_answers_a_full_session_in_order_with_no_errors() {
-    let stdout = serve_session(&[], &session_script());
+    let stdout = serve_session(&[], session_script());
     let lines: Vec<&str> = stdout.lines().collect();
     // r1 → 1 report; r2 → 3 sweep_reports + sweep_done; r3 → describe.
     assert_eq!(lines.len(), 6, "stdout:\n{stdout}");
@@ -94,7 +95,7 @@ fn serve_is_byte_deterministic_across_repeats_sessions_and_workers() {
         "warm-cache responses must repeat byte-identically"
     );
     // A fresh session with 8 workers: same bytes again.
-    let eight = serve_session(&["--workers", "8"], &session_script());
+    let eight = serve_session(&["--workers", "8"], session_script());
     assert_eq!(
         lines[..6].join("\n"),
         eight.trim_end(),
@@ -104,18 +105,24 @@ fn serve_is_byte_deterministic_across_repeats_sessions_and_workers() {
 
 #[test]
 fn serve_survives_garbage_and_answers_structured_errors() {
+    // 200 000 nested `[` once overflowed the parser's stack, and a line
+    // of invalid UTF-8 once ended the session: each must cost one
+    // `bad_request` under the empty id and nothing more.
+    let deep = "[".repeat(200_000);
     let script = [
-        "not json at all",
-        r#"{"schema":1,"id":"bad-spec","body":{"evaluate":{"spec":{"yield_target":2.0}}}}"#,
-        r#"{"schema":1,"id":"typo","body":{"evaluate":{"spec":{"yeild_target":0.9}}}}"#,
-        r#"{"schema":2,"id":"future","body":"describe"}"#,
-        r#"{"schema":1,"id":"still-up","body":"describe"}"#,
-        "",
+        b"not json at all".as_slice(),
+        br#"{"schema":1,"id":"bad-spec","body":{"evaluate":{"spec":{"yield_target":2.0}}}}"#,
+        br#"{"schema":1,"id":"typo","body":{"evaluate":{"spec":{"yeild_target":0.9}}}}"#,
+        br#"{"schema":2,"id":"future","body":"describe"}"#,
+        deep.as_bytes(),
+        b"\xff\xfe not utf-8 \xc3\x28",
+        br#"{"schema":1,"id":"still-up","body":"describe"}"#,
+        b"",
     ]
-    .join("\n");
+    .join(&b'\n');
     let stdout = serve_session(&[], &script);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 5, "stdout:\n{stdout}");
+    assert_eq!(lines.len(), 7, "stdout:\n{stdout}");
     assert!(lines[0].contains(r#""code":"bad_request""#));
     assert!(lines[1].contains(r#""code":"bad_spec""#));
     assert!(lines[1].contains(r#""field":"yield_target""#));
@@ -127,9 +134,13 @@ fn serve_survives_garbage_and_answers_structured_errors() {
     );
     assert!(lines[3].contains(r#""code":"unsupported_schema""#));
     assert!(lines[3].contains(r#""requested":2"#));
-    // The daemon is still alive and serving after four failures.
-    assert!(lines[4].contains(r#""describe""#));
-    assert_eq!(response_id(lines[4]), "still-up");
+    for line in &lines[4..6] {
+        assert!(line.contains(r#""code":"bad_request""#), "line: {line}");
+        assert_eq!(response_id(line), "");
+    }
+    // The daemon is still alive and serving after six failures.
+    assert!(lines[6].contains(r#""describe""#));
+    assert_eq!(response_id(lines[6]), "still-up");
 }
 
 #[test]

@@ -277,7 +277,6 @@ impl RenewalCount {
                 "failure_probability_conv: grid step too coarse for pitch scale",
             ));
         }
-        let krev: Vec<f64> = kernel.iter().rev().copied().collect();
 
         if cache.plans.len() >= CONV_PLAN_CAP {
             // Evict the least-recently-used plan; a handful of (pitch, pf)
@@ -296,7 +295,6 @@ impl RenewalCount {
         cache.plans.push(ConvPlan {
             key,
             kernel,
-            krev,
             k0,
             fe: Vec::new(),
             fe_s_prev,
@@ -320,8 +318,17 @@ impl RenewalCount {
         // Equilibrium first-gap mass per bin (stationary start only). Each
         // bin value depends only on its index, and the resumable `fe_s_prev`
         // survivor makes appended values bit-identical to a fresh build.
+        // The pitch CDF is non-decreasing on the bin edges and saturates at
+        // exactly 1.0, so once the survivor is exactly 0.0 every later
+        // survivor is too and every later bin mass is `(w·0.5·0/S̄).max(0)`
+        // = +0.0: those bins are appended without calling the CDF (for the
+        // paper pitch, every bin past ≈ 47 nm).
         if self.start == StartPolicy::Stationary {
             while plan.fe.len() <= wbins {
+                if plan.fe_s_prev == 0.0 {
+                    plan.fe.resize(wbins + 1, 0.0);
+                    break;
+                }
                 let j = plan.fe.len();
                 let lo_edge = (j as f64 - 0.5) * h;
                 let hi_edge = (j as f64 + 0.5) * h;
@@ -333,32 +340,35 @@ impl RenewalCount {
             }
         }
 
-        // Forward renewal sweep, resumed from the cached prefix. The inner
-        // dot product walks `u` forward against the reversed kernel in
-        // fixed-size chunks with one sequential accumulator — the identical
-        // term order as `for i { acc += u[i] * kernel[j - i] }`, with the
-        // bounds checks hoisted into the two slice takes.
+        // Forward renewal sweep, resumed from the cached prefix. Row `j` is
+        // `u[j] = pf·(first[j] + Σ_{i_lo ≤ i < j} u[i]·kernel[j − i])/(1 − k0)`
+        // with the sum taken in ascending `i`, exactly as the reference.
+        // Rows go in blocks of `SWEEP_BLOCK` when the kernel is longer
+        // than a block (see `sweep_block`): each row keeps its own
+        // accumulator and adds the same terms in the same order, but one
+        // `u[i]` load feeds every row of the block, so the block runs
+        // `SWEEP_BLOCK` independent add chains instead of one. The rows
+        // left over at the end of an extension, and every row of a kernel
+        // of at most `SWEEP_BLOCK` taps, take the one-row loop.
         let klen = plan.kernel.len();
+        let first = |kernel: &[f64], fe: &[f64], j: usize| match self.start {
+            StartPolicy::Ordinary => kernel.get(j).copied().unwrap_or(0.0),
+            StartPolicy::Stationary => fe[j],
+        };
         while plan.u.len() <= wbins {
             let j = plan.u.len();
-            let mut acc = match self.start {
-                StartPolicy::Ordinary => plan.kernel.get(j).copied().unwrap_or(0.0),
-                StartPolicy::Stationary => plan.fe[j],
-            };
-            let i_lo = j.saturating_sub(klen - 1);
-            let useg = &plan.u[i_lo..j];
-            let kseg = &plan.krev[klen - 1 - (j - i_lo)..klen - 1];
-            let mut uc = useg.chunks_exact(CONV_CHUNK);
-            let mut kc = kseg.chunks_exact(CONV_CHUNK);
-            for (ub, kb) in (&mut uc).zip(&mut kc) {
-                for t in 0..CONV_CHUNK {
-                    acc += ub[t] * kb[t];
+            if klen > SWEEP_BLOCK && j + SWEEP_BLOCK <= wbins + 1 {
+                let acc = std::array::from_fn(|b| first(&plan.kernel, &plan.fe, j + b));
+                sweep_block(&mut plan.u, &plan.kernel, acc, pf, plan.k0);
+            } else {
+                let i_lo = j.saturating_sub(klen - 1);
+                let taps = plan.kernel[1..=j - i_lo].iter().rev();
+                let mut acc = first(&plan.kernel, &plan.fe, j);
+                for (ui, k) in plan.u[i_lo..].iter().zip(taps) {
+                    acc += ui * k;
                 }
+                plan.u.push(pf * acc / (1.0 - plan.k0));
             }
-            for (ui, ki) in uc.remainder().iter().zip(kc.remainder()) {
-                acc += ui * ki;
-            }
-            plan.u.push(pf * acc / (1.0 - plan.k0));
         }
 
         // Exact no-CNT term — per-width, identical to the reference.
@@ -967,10 +977,61 @@ impl RenewalCount {
     }
 }
 
-/// Chunk width of the renewal sweep's inner dot product. The chunks are
-/// consumed with one sequential accumulator, so chunking changes no
-/// arithmetic — it only lets the compiler drop bounds checks and unroll.
-const CONV_CHUNK: usize = 64;
+/// Rows of the renewal density extended together by [`sweep_block`].
+/// Sixteen accumulators fill eight SSE2 registers; on the 2000-nm sweep,
+/// 8 and 32 rows measured slower and 24 no faster.
+const SWEEP_BLOCK: usize = 16;
+
+/// Append `SWEEP_BLOCK` rows `j0 .. j0 + SWEEP_BLOCK` (with `j0 = u.len()`)
+/// of the renewal density to `u`, each bit-identical to the one-row sweep.
+///
+/// `acc[b]` enters holding row `j0 + b`'s first-gap term and then receives
+/// exactly the one-row loop's terms `u[i]·kernel[j0 + b − i]`, in
+/// ascending `i`, in three stages:
+///
+/// 1. its staggered leading terms, `i` below the window every row shares;
+/// 2. the shared window `lo ≤ i < j0`, where one `u[i]` feeds all rows
+///    against the contiguous taps `kernel[j0 − i .. j0 − i + SWEEP_BLOCK]`
+///    — `SWEEP_BLOCK` independent add chains the compiler vectorizes;
+/// 3. the in-block triangle `j0 ≤ i < j0 + b`, from the rows just finished.
+///
+/// No term is reassociated, and Rust never contracts `acc += u·k` into a
+/// fused multiply-add, so every row rounds exactly as in the one-row loop.
+/// Requires `kernel.len() > SWEEP_BLOCK`, so that every in-block term lies
+/// inside each row's kernel support.
+fn sweep_block(u: &mut Vec<f64>, kernel: &[f64], mut acc: [f64; SWEEP_BLOCK], pf: f64, k0: f64) {
+    const B: usize = SWEEP_BLOCK;
+    debug_assert!(kernel.len() > B);
+    let reach = kernel.len() - 1;
+    let j0 = u.len();
+    // First `i` of the last row: the start of the shared window.
+    let lo = (j0 + B - 1).saturating_sub(reach);
+    for (b, acc_b) in acc.iter_mut().enumerate() {
+        for i in (j0 + b).saturating_sub(reach)..lo {
+            *acc_b += u[i] * kernel[j0 + b - i];
+        }
+    }
+    // The leading terms index `acc` by a runtime row, which pins it to
+    // memory; the window runs on a copy the compiler keeps in registers.
+    let mut lanes = acc;
+    for (d, &ui) in u[lo..j0].iter().enumerate() {
+        let s = j0 - lo - d;
+        let taps: &[f64; B] = kernel[s..s + B]
+            .try_into()
+            .expect("window of SWEEP_BLOCK taps");
+        for b in 0..B {
+            lanes[b] += ui * taps[b];
+        }
+    }
+    acc = lanes;
+    for b in 0..B {
+        let ub = pf * acc[b] / (1.0 - k0);
+        u.push(ub);
+        for c in b + 1..B {
+            acc[c] += ub * kernel[c - b];
+        }
+    }
+}
 
 /// Max cached sweep plans per thread (distinct (pitch, pf, step, start)).
 const CONV_PLAN_CAP: usize = 8;
@@ -998,9 +1059,6 @@ struct ConvPlan {
     key: ConvPlanKey,
     /// Pitch mass per grid bin.
     kernel: Vec<f64>,
-    /// `kernel` reversed, so the renewal dot product walks two forward
-    /// slices (bounds checks hoist; term order unchanged).
-    krev: Vec<f64>,
     /// `pf · kernel[0]` — the implicit same-bin term of the sweep.
     k0: f64,
     /// Equilibrium first-gap mass per bin (stationary start only).
@@ -1646,6 +1704,28 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn paper_pitch_survivor_stays_zero_once_saturated() {
+        // The first-gap extension stops calling the CDF at the first bin
+        // edge whose survivor is exactly 0.0. That is bit-exact only if no
+        // later edge has a non-zero survivor: walk the paper pitch
+        // (S = 4 nm, σ_S/S = 0.8) on the production grid to the `W_min`
+        // solver's 2000 nm bracket edge.
+        let pitch = TruncatedGaussian::positive_with_moments(4.0, 3.2).unwrap();
+        let h = 0.05;
+        let surv = |j: usize| 1.0 - pitch.cdf((j as f64 + 0.5) * h);
+        let first_zero = (0..=40_000)
+            .find(|&j| surv(j) == 0.0)
+            .expect("the survivor reaches exactly 0.0");
+        assert!(
+            first_zero as f64 * h < 50.0,
+            "saturates at bin {first_zero}"
+        );
+        for j in first_zero..=40_000 {
+            assert_eq!(surv(j).to_bits(), 0.0f64.to_bits(), "bin {j}");
         }
     }
 

@@ -161,9 +161,7 @@ proptest! {
         step in 0.08f64..0.2,
         ordinary in prop::bool::ANY,
     ) {
-        let pitch = TruncatedGaussian::positive_with_moments(4.0, 3.28).unwrap();
-        let start = if ordinary { StartPolicy::Ordinary } else { StartPolicy::Stationary };
-        let rc = RenewalCount::new(pitch, CountModel::Convolution { step }).with_start(start);
+        let rc = conv_renewal(step, ordinary);
         // Batched entry, plan-cached scalar entry, and the uncached
         // reference must agree to the bit at every width.
         let batch = rc.failure_probabilities_conv(&widths, pf, step).unwrap();
@@ -174,6 +172,83 @@ proptest! {
                 "batch vs reference at W={}: {:.17e} vs {:.17e}", w, b, reference);
             prop_assert_eq!(s.to_bits(), reference.to_bits(),
                 "scalar vs reference at W={}: {:.17e} vs {:.17e}", w, s, reference);
+        }
+    }
+
+    // Coarse grids: from 1 nm to 5 nm the pitch kernel shrinks from 38 to
+    // 9 taps, so both the blocked sweep and (at 16 taps or fewer, from
+    // ≈ 2.45 nm up) the one-row sweep build every row.
+    #[test]
+    fn coarse_grid_conv_is_bit_identical_to_reference(
+        widths in prop::collection::vec(5.0f64..2000.0, 1..4),
+        pf in 0.0f64..1.0,
+        step in 1.0f64..5.0,
+        ordinary in prop::bool::ANY,
+    ) {
+        let rc = conv_renewal(step, ordinary);
+        for &w in &widths {
+            assert_conv_matches_reference(&rc, w, pf, step)?;
+        }
+    }
+
+    // Ascending widths: every query extends the cached plan from where the
+    // previous one stopped, so blocks start right after the previous
+    // extension's one-row leftovers.
+    #[test]
+    fn ascending_conv_extension_is_bit_identical_to_reference(
+        widths in prop::collection::vec(5.0f64..600.0, 2..6),
+        pf in 0.0f64..1.0,
+        step in 0.08f64..0.2,
+        ordinary in prop::bool::ANY,
+    ) {
+        let mut widths = widths;
+        widths.sort_by(f64::total_cmp);
+        let rc = conv_renewal(step, ordinary);
+        for &w in &widths {
+            assert_conv_matches_reference(&rc, w, pf, step)?;
+        }
+    }
+}
+
+/// The convolution back-end on the proptests' pitch, at grid `step`.
+fn conv_renewal(step: f64, ordinary: bool) -> RenewalCount {
+    let pitch = TruncatedGaussian::positive_with_moments(4.0, 3.28).unwrap();
+    let start = if ordinary {
+        StartPolicy::Ordinary
+    } else {
+        StartPolicy::Stationary
+    };
+    RenewalCount::new(pitch, CountModel::Convolution { step }).with_start(start)
+}
+
+/// The plan-cached `pF(w)` equals `failure_probability_conv_reference`
+/// to the bit.
+fn assert_conv_matches_reference(rc: &RenewalCount, w: f64, pf: f64, step: f64) -> TestCaseResult {
+    let fast = rc.failure_probability(w, pf).unwrap();
+    let reference = rc.failure_probability_conv_reference(w, pf, step).unwrap();
+    prop_assert_eq!(
+        fast.to_bits(),
+        reference.to_bits(),
+        "step={} W={} pf={}: {:.17e} vs {:.17e}",
+        step,
+        w,
+        pf,
+        fast,
+        reference
+    );
+    Ok(())
+}
+
+/// The production grid (0.05 nm) on the paper pitch and corner at the two
+/// `W_min` anchors and the `W_min` solver's 2000 nm bracket edge, whose
+/// 40 001-row plan every cold solve builds.
+#[test]
+fn production_grid_conv_is_bit_identical_to_reference() {
+    let pitch = TruncatedGaussian::positive_with_moments(4.0, 3.2).unwrap();
+    for start in [StartPolicy::Stationary, StartPolicy::Ordinary] {
+        let rc = RenewalCount::new(pitch, CountModel::Convolution { step: 0.05 }).with_start(start);
+        for w in [103.0, 155.0, 2000.0] {
+            assert_conv_matches_reference(&rc, w, 0.531, 0.05).unwrap();
         }
     }
 }
