@@ -11,9 +11,15 @@
 //! * `repairable_tile_mc` — a scheme past `EXACT_TERM_LIMIT`, paying the
 //!   adaptive Monte-Carlo fallback at its default ±5 % precision;
 //! * `required_p_cell_spares` — the deterministic bisection the fault
-//!   solver runs before touching the failure curve.
+//!   solver runs before touching the failure curve;
+//! * `mean_count_reference/172` / `mean_count_warm/172` — the mean CNT
+//!   count under a 172.3-nm gate, which the shorts-mode fixed point asks
+//!   for at every step: the single-shot count loop (what a gate the
+//!   shared count plan declines still pays) and a query inside the plan.
 
+use cnfet_bench::paper_model;
 use cnfet_fault::{ComposeMethod, McFallback, RedundancyScheme};
+use cnt_stats::renewal::CountModel;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -86,5 +92,32 @@ fn bench_inversion(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_exact, bench_mc_fallback, bench_inversion);
+fn bench_mean_count(c: &mut Criterion) {
+    let model = paper_model();
+    let renewal = model.renewal();
+    let CountModel::Convolution { step } = renewal.model() else {
+        panic!("the paper model counts on the convolution back-end");
+    };
+    c.bench_function("fault_compose/mean_count_reference/172", |b| {
+        b.iter(|| {
+            renewal
+                .distribution_conv_reference(black_box(172.3), step)
+                .expect("computable")
+                .mean()
+        })
+    });
+    // The first iteration builds the plan out to this gate; every later
+    // one reads it.
+    c.bench_function("fault_compose/mean_count_warm/172", |b| {
+        b.iter(|| model.mean_count(black_box(172.3)).expect("computable"))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_exact,
+    bench_mc_fallback,
+    bench_inversion,
+    bench_mean_count
+);
 criterion_main!(benches);

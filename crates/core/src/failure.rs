@@ -86,7 +86,10 @@ impl FailureModel {
         RenewalCount::new(self.pitch, self.backend)
     }
 
-    /// CNT count distribution under a gate of width `w`.
+    /// CNT count distribution under a gate of width `w`. On the default
+    /// convolution back-end, a gate no wider than the widest one already
+    /// asked for is read from the shared count plan in microseconds (see
+    /// [`RenewalCount::distribution`]).
     ///
     /// # Errors
     ///
@@ -131,7 +134,10 @@ impl FailureModel {
             .collect())
     }
 
-    /// Mean CNT count under a gate of width `w` (≈ `w / S̄`).
+    /// Mean CNT count under a gate of width `w` (≈ `w / S̄`) — the `N̄`
+    /// of the shorts-mode fault solve, which asks for it at every step of
+    /// its width fixed point. The first moment of
+    /// [`FailureModel::count_distribution`], so it costs what that does.
     ///
     /// # Errors
     ///

@@ -19,7 +19,7 @@ use cnfet_layout::{align_library, AlignmentOptions, GridPolicy, LibraryAlignment
 use cnfet_sim::adaptive::McPrecision;
 use cnt_stats::seed::split_seed;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache key for one `(corner, backend)` failure curve.
 type CurveKey = (u64, u64, u64, u8, u64);
@@ -95,12 +95,27 @@ fn curve_key(corner: &CornerSpec, backend: &BackendSpec) -> Result<CurveKey> {
 
 /// Worker threads for one Monte-Carlo evaluation. Results are worker-count
 /// independent by construction, so this is purely a wall-clock knob; cap
-/// it so sweep-level parallelism does not oversubscribe badly.
+/// it so sweep-level parallelism does not oversubscribe badly. Read once
+/// per process: every evaluate asks for it, and on Linux
+/// `available_parallelism` reads the cgroup CPU quota files (~14 µs).
 fn mc_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(8)
+    })
+}
+
+/// Monte-Carlo worker threads for each scenario of a sweep that runs
+/// `sweep_workers` scenarios at once: the cores are split between them.
+/// Giving every scenario all of them instead puts `sweep_workers ×
+/// mc_workers()` threads on the cores, and each scenario's speculative
+/// batches (computed in parallel, dropped once an earlier batch meets the
+/// precision target) then take time from the other scenarios' useful work.
+pub(crate) fn sweep_mc_workers(sweep_workers: usize) -> usize {
+    (mc_workers() / sweep_workers.max(1)).max(1)
 }
 
 /// Capacity bounds for the pipeline's two unbounded-key caches. The
@@ -443,7 +458,10 @@ impl Pipeline {
         let mut feasible = true;
         for _ in 0..SHORT_FIXED_POINT_ITERS {
             let budget_open = p_budget - p_short;
-            if budget_open <= 0.0 {
+            // Only shorts found by an earlier step can exhaust the budget:
+            // a budget that is zero to begin with goes to the solver, which
+            // rejects it as it rejects any zero requirement.
+            if budget_open <= 0.0 && solution.is_some() {
                 feasible = false;
                 break;
             }
@@ -493,6 +511,18 @@ impl Pipeline {
     ///
     /// Propagates validation, model, solver, and simulation errors.
     pub fn evaluate(&self, spec: &ScenarioSpec, seed: u64) -> Result<ScenarioReport> {
+        self.evaluate_with_mc_workers(spec, seed, mc_workers())
+    }
+
+    /// [`Pipeline::evaluate`] with `mc_workers` threads for each
+    /// Monte-Carlo run (the sampler and the fault-composition fallback);
+    /// the report is the same for any count.
+    pub(crate) fn evaluate_with_mc_workers(
+        &self,
+        spec: &ScenarioSpec,
+        seed: u64,
+        mc_workers: usize,
+    ) -> Result<ScenarioReport> {
         spec.validate()?;
         // A stochastic spec realizes its knobs from the seed before
         // anything else; deterministic specs pass through untouched, so
@@ -548,7 +578,7 @@ impl Pipeline {
                 // curvature and trigger runaway refinement.
                 let model = FailureModel::paper_default(eval_corner.corner()?)?;
                 let eval = McFailure::new(model, precision, split_seed(seed, MC_EVAL_SALT))?
-                    .with_workers(mc_workers());
+                    .with_workers(mc_workers);
                 let rel_tol = (4.0 * precision.rel_ci).clamp(0.05, 0.25);
                 let curve = FailureCurve::new(eval).with_rel_tol(rel_tol)?;
                 let (sol, fs) = match &fault_model {
@@ -608,7 +638,7 @@ impl Pipeline {
                         sol.m_min,
                         &McFallback {
                             seed: split_seed(seed, FAULT_MC_SALT),
-                            workers: mc_workers(),
+                            workers: mc_workers,
                             precision: McPrecision::default(),
                         },
                     )
@@ -900,6 +930,34 @@ mod tests {
         );
         // The relaxed budget also shrinks the solved width.
         assert!(r_tmr.w_min_nm < r_bare.w_min_nm);
+    }
+
+    #[test]
+    fn sweep_workers_split_the_mc_threads() {
+        assert_eq!(sweep_mc_workers(1), mc_workers());
+        assert_eq!(sweep_mc_workers(0), mc_workers());
+        assert_eq!(sweep_mc_workers(mc_workers()), 1);
+        assert_eq!(sweep_mc_workers(64), 1);
+    }
+
+    #[test]
+    fn zero_cell_budget_fails_like_the_fault_free_solve() {
+        use cnt_stats::DistSpec;
+
+        // At this target and size the per-cell budget underflows to 0.
+        let p = Pipeline::new();
+        let mut plain = fast_spec("plain");
+        plain.yield_target = 0.999_999_999_9;
+        plain.m_transistors = 1e9;
+        let mut shorts = plain.clone();
+        shorts.purity.dist = DistSpec::Fixed(0.999_999);
+        let plain_err = p.evaluate(&plain, 1).unwrap_err();
+        let shorts_err = p.evaluate(&shorts, 1).unwrap_err();
+        assert!(
+            plain_err.to_string().contains("`target` = 0"),
+            "{plain_err}"
+        );
+        assert_eq!(shorts_err.to_string(), plain_err.to_string());
     }
 
     #[test]

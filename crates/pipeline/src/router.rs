@@ -264,6 +264,9 @@ impl Client {
 /// One request travelling through a shard queue.
 struct Job {
     line: String,
+    /// The router's parse of `line` (`None` when it is not JSON), reused
+    /// for the warm-tier key.
+    doc: Option<Json>,
     id: String,
     client: Client,
 }
@@ -420,13 +423,13 @@ impl std::fmt::Debug for ShardRouter {
     }
 }
 
-/// The canonical warm-tier key of a request line, when the request is
-/// warm-eligible: a single-artifact body (`evaluate`, `wafer`,
+/// The canonical warm-tier key of a parsed request line, when the
+/// request is warm-eligible: a single-artifact body (`evaluate`, `wafer`,
 /// `describe`) on the supported schema. The id is stripped (responses are
 /// re-addressed per caller) and `workers` is normalized away (the
 /// determinism contract: workers never change bytes).
-fn warm_key(line: &str) -> Option<String> {
-    let request = YieldRequest::from_json(&Json::parse(line).ok()?).ok()?;
+fn warm_key(doc: &Json) -> Option<String> {
+    let request = YieldRequest::from_json(doc).ok()?;
     if request.schema != SCHEMA_VERSION {
         return None;
     }
@@ -516,12 +519,12 @@ impl ShardRouter {
     }
 
     fn enqueue(&self, line: String, client: &Client, block: bool) -> bool {
-        // Recover the id once here: it picks the shard and addresses a
-        // potential shed response. Unparseable lines route to shard 0,
-        // which answers them with the structured parse error.
-        let id = Json::parse(&line)
-            .map(|doc| recover_id(&doc))
-            .unwrap_or_default();
+        // Parse once here: the id picks the shard and addresses a
+        // potential shed response, and the shard keys the warm tier on the
+        // same tree. Unparseable lines route to shard 0, which answers
+        // them with the structured parse error.
+        let doc = Json::parse(&line).ok();
+        let id = doc.as_ref().map(recover_id).unwrap_or_default();
         let index = shard_for(&id, self.shards.len());
         let shard = &self.shards[index];
         // Count the job (including one blocked in admission) before the
@@ -531,6 +534,7 @@ impl ShardRouter {
         shard.counters.high_water.fetch_max(depth, Ordering::AcqRel);
         let job = Job {
             line,
+            doc,
             id: id.clone(),
             client: client.clone(),
         };
@@ -621,7 +625,7 @@ fn shard_loop<S: LineServer>(
             counters.cancelled.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        let key = warm_key(&job.line);
+        let key = job.doc.as_ref().and_then(warm_key);
         if let Some(key) = &key {
             let hit = warm.lock().expect("warm tier lock").get(key).cloned();
             if let Some(bodies) = hit {
@@ -678,29 +682,34 @@ mod tests {
         assert_eq!(shard_for("anything", 1), 0);
     }
 
+    /// The warm key of a raw line, parsed as the router parses it.
+    fn line_key(line: &str) -> Option<String> {
+        warm_key(&Json::parse(line).ok()?)
+    }
+
     #[test]
     fn warm_key_strips_id_and_workers_but_keeps_seed() {
-        let a = warm_key(r#"{"schema":1,"id":"x","body":{"evaluate":{"spec":{},"seed":7}}}"#);
-        let b = warm_key(r#"{"schema":1,"id":"y","body":{"evaluate":{"spec":{},"seed":7}}}"#);
+        let a = line_key(r#"{"schema":1,"id":"x","body":{"evaluate":{"spec":{},"seed":7}}}"#);
+        let b = line_key(r#"{"schema":1,"id":"y","body":{"evaluate":{"spec":{},"seed":7}}}"#);
         assert_eq!(a, b, "ids must share one warm entry");
         assert!(a.is_some());
-        let c = warm_key(r#"{"schema":1,"id":"x","body":{"evaluate":{"spec":{},"seed":8}}}"#);
+        let c = line_key(r#"{"schema":1,"id":"x","body":{"evaluate":{"spec":{},"seed":8}}}"#);
         assert_ne!(a, c, "seeds are part of the answer");
-        let w1 = warm_key(
+        let w1 = line_key(
             r#"{"schema":1,"id":"x","body":{"wafer":{"spec":{"diameter_dies":8,"base":{}},"workers":1}}}"#,
         );
-        let w8 = warm_key(
+        let w8 = line_key(
             r#"{"schema":1,"id":"y","body":{"wafer":{"spec":{"diameter_dies":8,"base":{}},"workers":8}}}"#,
         );
         assert_eq!(w1, w8, "workers never change bytes");
         assert!(
-            warm_key(r#"{"schema":1,"id":"x","body":{"sweep":{"grid":{"scenarios":[{}]}}}}"#)
+            line_key(r#"{"schema":1,"id":"x","body":{"sweep":{"grid":{"scenarios":[{}]}}}}"#)
                 .is_none(),
             "sweeps stream, they are not warm-cached"
         );
-        assert!(warm_key("not json").is_none());
+        assert!(line_key("not json").is_none());
         assert!(
-            warm_key(r#"{"schema":2,"id":"x","body":"describe"}"#).is_none(),
+            line_key(r#"{"schema":2,"id":"x","body":"describe"}"#).is_none(),
             "foreign schemas answer with errors, not cacheable artifacts"
         );
     }

@@ -20,7 +20,7 @@
 //! carry no volatile cache provenance — so identical requests serialize
 //! byte-identically whether caches are cold, warm, or shared.
 
-use crate::engine::{CacheConfig, Pipeline};
+use crate::engine::{sweep_mc_workers, CacheConfig, Pipeline};
 use crate::envelope::{
     ErrorCode, RequestBody, ResponseBody, ServiceError, ServiceInfo, YieldRequest, YieldResponse,
     SCHEMA_VERSION,
@@ -407,6 +407,7 @@ impl SweepHandle {
         let claim = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         let workers = workers.max(1).min(total.max(1));
+        let mc_workers = sweep_mc_workers(workers);
         let handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -423,9 +424,11 @@ impl SweepHandle {
                     if i >= specs.len() {
                         return;
                     }
-                    let report = inner
-                        .pipeline
-                        .evaluate(&specs[i], split_seed(seed, i as u64));
+                    let report = inner.pipeline.evaluate_with_mc_workers(
+                        &specs[i],
+                        split_seed(seed, i as u64),
+                        mc_workers,
+                    );
                     completed.fetch_add(1, Ordering::Release);
                     // The consumer may have dropped the handle mid-stream;
                     // a closed channel just means nobody wants the rest.

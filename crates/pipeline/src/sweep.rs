@@ -8,7 +8,7 @@
 //! its workers. The underlying [`Pipeline`] caches are order-independent
 //! by construction, so sharing them across workers cannot change answers.
 
-use crate::engine::Pipeline;
+use crate::engine::{sweep_mc_workers, Pipeline};
 use crate::report::ScenarioReport;
 use crate::spec::ScenarioSpec;
 use crate::Result;
@@ -57,6 +57,7 @@ impl<'a> SweepRunner<'a> {
             return Vec::new();
         }
         let workers = self.workers.min(specs.len());
+        let mc_workers = sweep_mc_workers(workers);
         let next = AtomicUsize::new(0);
         let mut collected: Vec<(usize, Result<ScenarioReport>)> = Vec::with_capacity(specs.len());
         std::thread::scope(|scope| {
@@ -71,7 +72,11 @@ impl<'a> SweepRunner<'a> {
                             return local;
                         }
                         let seed = split_seed(base_seed, i as u64);
-                        local.push((i, self.pipeline.evaluate(&specs[i], seed)));
+                        local.push((
+                            i,
+                            self.pipeline
+                                .evaluate_with_mc_workers(&specs[i], seed, mc_workers),
+                        ));
                     }
                 }));
             }
@@ -139,7 +144,8 @@ mod tests {
         // The acceptance contract of the MC back-end: a sweep over
         // stochastic scenarios is bit-identical for --workers 1 vs
         // --workers 8 at a fixed seed, including trial counts and CI
-        // bounds.
+        // bounds. One sweep worker gives each scenario every MC thread,
+        // eight give each a single one.
         let grid = ScenarioGrid::parse(
             r#"{
                 "name": "mc",

@@ -107,7 +107,10 @@ fn serve_is_byte_deterministic_across_repeats_sessions_and_workers() {
 fn serve_survives_garbage_and_answers_structured_errors() {
     // 200 000 nested `[` once overflowed the parser's stack, and a line
     // of invalid UTF-8 once ended the session: each must cost one
-    // `bad_request` under the empty id and nothing more.
+    // `bad_request` under the empty id and nothing more. A shorts-mode
+    // fault evaluate whose per-cell budget underflows to 0 once panicked
+    // its shard, and the same-id `describe` queued behind it was never
+    // answered.
     let deep = "[".repeat(200_000);
     let script = [
         b"not json at all".as_slice(),
@@ -116,13 +119,15 @@ fn serve_survives_garbage_and_answers_structured_errors() {
         br#"{"schema":2,"id":"future","body":"describe"}"#,
         deep.as_bytes(),
         b"\xff\xfe not utf-8 \xc3\x28",
+        br#"{"schema":1,"id":"zero-budget","body":{"evaluate":{"spec":{"fast_design":true,"backend":"gaussian-sum","rho":"paper","purity":0.999999,"redundancy":"none","yield_target":0.9999999999,"m_transistors":1e9},"seed":1}}}"#,
+        br#"{"schema":1,"id":"zero-budget","body":"describe"}"#,
         br#"{"schema":1,"id":"still-up","body":"describe"}"#,
         b"",
     ]
     .join(&b'\n');
-    let stdout = serve_session(&[], &script);
+    let stdout = serve_session(&["--shards", "1"], &script);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 7, "stdout:\n{stdout}");
+    assert_eq!(lines.len(), 9, "stdout:\n{stdout}");
     assert!(lines[0].contains(r#""code":"bad_request""#));
     assert!(lines[1].contains(r#""code":"bad_spec""#));
     assert!(lines[1].contains(r#""field":"yield_target""#));
@@ -138,9 +143,18 @@ fn serve_survives_garbage_and_answers_structured_errors() {
         assert!(line.contains(r#""code":"bad_request""#), "line: {line}");
         assert_eq!(response_id(line), "");
     }
-    // The daemon is still alive and serving after six failures.
-    assert!(lines[6].contains(r#""describe""#));
-    assert_eq!(response_id(lines[6]), "still-up");
+    assert!(
+        lines[6].contains(r#""code":"internal""#),
+        "line: {}",
+        lines[6]
+    );
+    assert!(lines[6].contains("`target` = 0"), "line: {}", lines[6]);
+    assert_eq!(response_id(lines[6]), "zero-budget");
+    assert!(lines[7].contains(r#""describe""#));
+    assert_eq!(response_id(lines[7]), "zero-budget");
+    // The daemon is still alive and serving after seven failures.
+    assert!(lines[8].contains(r#""describe""#));
+    assert_eq!(response_id(lines[8]), "still-up");
 }
 
 #[test]

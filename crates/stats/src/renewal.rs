@@ -32,6 +32,7 @@ use crate::{Result, StatsError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where the first CNT sits relative to the lower edge of the active region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,6 +121,18 @@ impl RenewalCount {
     }
 
     /// Distribution of the CNT count `N(width)`.
+    ///
+    /// On the [`CountModel::Convolution`] back-end the n-fold sub-densities
+    /// behind the distribution do not depend on the width, so they live in
+    /// a process-wide count plan per (pitch, step, start), built out to
+    /// the widest gate asked for so far, at about the cost of one call of
+    /// the single-shot convolution loop (50–75 ms for 172 nm on the
+    /// 0.05-nm grid). A gate the plan covers then costs a few
+    /// microseconds: one read per count instead of that O(W²/step²)
+    /// loop. Results are bit-identical to the loop, which still answers a
+    /// stationary start under a gate of ≲ 10 nm on the paper pitch and
+    /// any gate whose plan would pass 2²⁰ values (about 350 nm on the
+    /// 0.05-nm grid).
     ///
     /// # Errors
     ///
@@ -682,15 +695,37 @@ impl RenewalCount {
                 break;
             }
         }
-        let mut pmf = Vec::with_capacity(surv.len());
-        for n in 0..surv.len() {
-            let hi = surv.get(n + 1).copied().unwrap_or(0.0);
-            pmf.push((surv[n] - hi).max(0.0));
-        }
-        CountDistribution::from_pmf(pmf, width)
+        CountDistribution::from_survival(&surv, width)
     }
 
+    /// Count distribution on the convolution back-end: answered from the
+    /// process-wide [`CountPlan`] when one applies, else by
+    /// [`RenewalCount::distribution_conv_reference`].
     fn distribution_conv(&self, width: f64, step: f64) -> Result<CountDistribution> {
+        if step.is_finite() && step > 0.0 {
+            let bounds = CountBounds::new(width, step, self.pitch.mean());
+            let first_bins = self.first_gap_bins(width, step);
+            if let Some(surv) = self
+                .count_plan(step, bounds)
+                .and_then(|plan| plan.survival(bounds, first_bins))
+            {
+                return CountDistribution::from_survival(&surv, width);
+            }
+        }
+        self.distribution_conv_reference(width, step)
+    }
+
+    /// The single-shot count-distribution loop on the convolution
+    /// back-end, kept as the bit-identity oracle of the [`CountPlan`]
+    /// path: every distribution that path returns must equal this one
+    /// bit for bit (enforced by the crate's property tests). It also
+    /// answers the widths the plan does not. Not part of the supported API.
+    ///
+    /// Row `n` of the loop is the sub-density of the n-th CNT position
+    /// `T_n` restricted to `≤ width`, and its sum is the survival
+    /// `S(n) = P(N ≥ n)`.
+    #[doc(hidden)]
+    pub fn distribution_conv_reference(&self, width: f64, step: f64) -> Result<CountDistribution> {
         if !(step.is_finite() && step > 0.0) {
             return Err(StatsError::InvalidParameter {
                 name: "step",
@@ -698,14 +733,46 @@ impl RenewalCount {
                 constraint: "must be finite and > 0",
             });
         }
-        // Discretize the pitch density: mass of bin i is F((i+1)h) − F(ih),
-        // value represented at the midpoint (i + 0.5)·h. After summing n
-        // variables the represented value of index j is (j + n/2)·h.
         let h = step;
-        let mean = self.pitch.mean();
-        let sd = self.pitch.std_dev();
-        let support_hi = (mean + 10.0 * sd).min(self.pitch.hi());
-        let kbins = ((support_hi / h).ceil() as usize).max(1);
+        let kernel = self.count_kernel(h);
+        let first = match self.start {
+            StartPolicy::Ordinary => kernel.clone(),
+            StartPolicy::Stationary => self.equilibrium_first_gap(h, self.first_gap_bins(width, h)),
+        };
+        let bounds = CountBounds::new(width, h, self.pitch.mean());
+
+        // s holds the sub-density of T_n restricted to ≤ width.
+        let mut s: Vec<f64> = first[..bounds.row_len(1, first.len())].to_vec();
+        let mut surv = vec![1.0_f64]; // S(0)
+        surv.push(s.iter().sum::<f64>());
+        for n in 2..=bounds.n_cap() {
+            if bounds.limit(n) < 0 || s.is_empty() {
+                surv.push(0.0);
+                break;
+            }
+            let out_len = bounds.row_len(n, s.len() + kernel.len() - 1);
+            let next = convolve_truncated(&s, &kernel, out_len);
+            let total: f64 = next.iter().sum();
+            surv.push(total);
+            s = next;
+            if total < 1e-16 && n > bounds.n_typ {
+                break;
+            }
+        }
+        CountDistribution::from_survival(&surv, width)
+    }
+
+    /// Upper edge of the pitch support the convolution grids cover.
+    fn support_hi(&self) -> f64 {
+        (self.pitch.mean() + 10.0 * self.pitch.std_dev()).min(self.pitch.hi())
+    }
+
+    /// Pitch mass per grid bin for the count distribution: bin `i` holds
+    /// `F((i+1)h) − F(ih)`, its value represented at the midpoint
+    /// `(i + 0.5)·h`, so after summing n variables the represented value
+    /// of index `j` is `(j + n/2)·h`.
+    fn count_kernel(&self, h: f64) -> Vec<f64> {
+        let kbins = ((self.support_hi() / h).ceil() as usize).max(1);
         let mut kernel = Vec::with_capacity(kbins);
         let mut prev = self.pitch.cdf(0.0);
         for i in 0..kbins {
@@ -719,81 +786,103 @@ impl RenewalCount {
         if let Some(last) = kernel.last_mut() {
             *last += resid.max(0.0);
         }
+        kernel
+    }
 
-        // First-gap vector.
-        let first: Vec<f64> = match self.start {
-            StartPolicy::Ordinary => kernel.clone(),
-            StartPolicy::Stationary => {
-                // f_e(x) = (1 − F(x))/m; discretize on the same grid until
-                // the survival is negligible or the width is covered.
-                let nb = (((width + support_hi) / h).ceil() as usize).max(1);
-                let mut fe = Vec::with_capacity(nb);
-                for i in 0..nb {
-                    let x = (i as f64 + 0.5) * h;
-                    let s = 1.0 - self.pitch.cdf(x);
-                    if s < 1e-15 && (i as f64 * h) > mean {
-                        break;
-                    }
-                    fe.push(s * h / mean);
-                }
-                let total: f64 = fe.iter().sum();
-                // Normalize the discretization residue.
-                if total > 0.0 {
-                    for p in &mut fe {
-                        *p /= total;
-                    }
-                }
-                fe
+    /// Bins the stationary first-gap vector may span at `width`: enough
+    /// to cover the width plus the pitch support.
+    fn first_gap_bins(&self, width: f64, h: f64) -> usize {
+        (((width + self.support_hi()) / h).ceil() as usize).max(1)
+    }
+
+    /// Equilibrium first-gap masses `f_e(x) = (1 − F(x))/S̄` on the count
+    /// grid, over at most `nb` bins: the vector stops at the first bin
+    /// past the mean whose survival is negligible, and is normalized.
+    fn equilibrium_first_gap(&self, h: f64, nb: usize) -> Vec<f64> {
+        let mean = self.pitch.mean();
+        let mut fe = Vec::new();
+        for i in 0..nb {
+            let x = (i as f64 + 0.5) * h;
+            let s = 1.0 - self.pitch.cdf(x);
+            if s < 1e-15 && (i as f64 * h) > mean {
+                break;
             }
+            fe.push(s * h / mean);
+        }
+        let total: f64 = fe.iter().sum();
+        // Normalize the discretization residue.
+        if total > 0.0 {
+            for p in &mut fe {
+                *p /= total;
+            }
+        }
+        fe
+    }
+
+    /// The shared count plan for this (pitch, `h`, start) that covers
+    /// `bounds`, widened first when it does not; `None` when the widened
+    /// plan would pass [`COUNT_PLAN_VALUES`] (or did before).
+    ///
+    /// The cache lock is held only to clone, take or store an `Arc`: a
+    /// plan is built outside it, after the narrower plan it replaces has
+    /// been dropped. Two threads may race to build the same plan; both
+    /// results are identical, and the wider one is kept.
+    fn count_plan(&self, h: f64, bounds: CountBounds) -> Option<Arc<CountPlan>> {
+        let key = CountPlanKey {
+            pitch: [
+                self.pitch.parent_mean().to_bits(),
+                self.pitch.parent_sd().to_bits(),
+                self.pitch.lo().to_bits(),
+                self.pitch.hi().to_bits(),
+            ],
+            step: h.to_bits(),
+            start: self.start,
         };
-
-        let wbins = (width / h).floor() as isize;
-        // Index limit for "value ≤ width" after n summands: j ≤ width/h − n/2.
-        let limit = |n: usize| -> isize { wbins - (n as isize) / 2 - (n as isize % 2) };
-
-        // s holds the sub-density of T_n restricted to ≤ width.
-        let lim1 = limit(1);
-        let mut s: Vec<f64> = first
-            .iter()
-            .copied()
-            .take((lim1.max(-1) + 1) as usize)
-            .collect();
-        let mut surv = vec![1.0_f64]; // S(0)
-        surv.push(s.iter().sum::<f64>());
-
-        let n_typ = (width / mean).ceil() as usize + 2;
-        let n_cap = 4 * n_typ + 64;
-        for n in 2..=n_cap {
-            let lim = limit(n);
-            if lim < 0 || s.is_empty() {
-                surv.push(0.0);
-                break;
+        // Every update below swaps whole values, so a poisoned lock still
+        // guards a valid cache.
+        let lock = || COUNT_PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+        let (target, old) = {
+            let mut slots = lock();
+            let slot = count_plan_slot(&mut slots, key);
+            match &slot.plan {
+                Some(plan) if plan.bounds.covers(bounds) => return Some(Arc::clone(plan)),
+                _ if bounds.wbins >= slot.too_wide => return None,
+                _ => {}
             }
-            let out_len = ((lim + 1) as usize).min(s.len() + kernel.len() - 1);
-            let mut next = vec![0.0_f64; out_len];
-            for (i, &si) in s.iter().enumerate() {
-                if si == 0.0 {
-                    continue;
-                }
-                let jmax = out_len.saturating_sub(i).min(kernel.len());
-                for (j, &kj) in kernel.iter().enumerate().take(jmax) {
-                    next[i + j] += si * kj;
+            let old = slot.plan.take();
+            let target = old.as_ref().map_or(bounds, |p| p.bounds.max(bounds));
+            (target, old)
+        };
+        drop(old);
+        let kernel = self.count_kernel(h);
+        let built = match self.start {
+            StartPolicy::Ordinary => CountPlan::build(&kernel, &kernel, 0, target),
+            StartPolicy::Stationary => {
+                let first = self.equilibrium_first_gap(h, COUNT_PLAN_VALUES);
+                // A first gap that reaches the cap may still be truncated.
+                if first.len() < COUNT_PLAN_VALUES {
+                    CountPlan::build(&kernel, &first, first.len(), target)
+                } else {
+                    None
                 }
             }
-            let total: f64 = next.iter().sum();
-            surv.push(total);
-            s = next;
-            if total < 1e-16 && n > n_typ {
-                break;
+        }
+        .map(Arc::new);
+        let mut slots = lock();
+        let slot = count_plan_slot(&mut slots, key);
+        match &built {
+            Some(plan) => {
+                if !slot
+                    .plan
+                    .as_ref()
+                    .is_some_and(|p| p.bounds.covers(plan.bounds))
+                {
+                    slot.plan = Some(Arc::clone(plan));
+                }
             }
+            None => slot.too_wide = slot.too_wide.min(target.wbins),
         }
-
-        let mut pmf = Vec::with_capacity(surv.len());
-        for n in 0..surv.len() {
-            let hi = surv.get(n + 1).copied().unwrap_or(0.0);
-            pmf.push((surv[n] - hi).max(0.0));
-        }
-        CountDistribution::from_pmf(pmf, width)
+        built
     }
 
     fn distribution_mc(&self, width: f64, trials: u32, seed: u64) -> Result<CountDistribution> {
@@ -1087,6 +1176,227 @@ thread_local! {
     static CONV_PLANS: RefCell<ConvCache> = RefCell::new(ConvCache::default());
 }
 
+/// The next row of the count loop: `s ∗ kernel`, truncated to `out_len`
+/// entries. Each entry adds its terms in ascending `i`, skipping zero
+/// entries of `s`.
+fn convolve_truncated(s: &[f64], kernel: &[f64], out_len: usize) -> Vec<f64> {
+    let mut next = vec![0.0_f64; out_len];
+    for (i, &si) in s.iter().enumerate() {
+        if si == 0.0 {
+            continue;
+        }
+        let jmax = out_len.saturating_sub(i).min(kernel.len());
+        for (j, &kj) in kernel.iter().enumerate().take(jmax) {
+            next[i + j] += si * kj;
+        }
+    }
+    next
+}
+
+/// The width-dependent bounds of the count loop.
+#[derive(Debug, Clone, Copy)]
+struct CountBounds {
+    /// Grid bins under the gate, `⌊W/h⌋`.
+    wbins: isize,
+    /// Typical count `⌈W/S̄⌉ + 2`; the loop stops on a negligible row
+    /// only past it.
+    n_typ: usize,
+}
+
+impl CountBounds {
+    fn new(width: f64, h: f64, mean: f64) -> Self {
+        Self {
+            wbins: (width / h).floor() as isize,
+            n_typ: (width / mean).ceil() as usize + 2,
+        }
+    }
+
+    /// Index limit for "value ≤ width" after n summands: j ≤ width/h − n/2.
+    fn limit(self, n: usize) -> isize {
+        self.wbins - (n as isize) / 2 - (n as isize % 2)
+    }
+
+    /// Length of row `n`, whose untruncated length is `len`.
+    fn row_len(self, n: usize, len: usize) -> usize {
+        ((self.limit(n).max(-1) + 1) as usize).min(len)
+    }
+
+    fn n_cap(self) -> usize {
+        4 * self.n_typ + 64
+    }
+
+    fn covers(self, other: Self) -> bool {
+        self.wbins >= other.wbins && self.n_typ >= other.n_typ
+    }
+
+    fn max(self, other: Self) -> Self {
+        Self {
+            wbins: self.wbins.max(other.wbins),
+            n_typ: self.n_typ.max(other.n_typ),
+        }
+    }
+}
+
+/// Most values one [`CountPlan`] may hold: 8 MB, about a 350-nm gate on
+/// the paper pitch at the 0.05-nm grid (a 2000-nm plan would need about
+/// 160 MB). Wider gates take the reference loop on every call.
+const COUNT_PLAN_VALUES: usize = 1 << 20;
+
+/// Most (pitch, step, start) count plans kept at once.
+const COUNT_PLAN_SLOTS: usize = 4;
+
+/// Width-independent state of [`RenewalCount::distribution`] on the
+/// convolution back-end.
+///
+/// Row `n` of the reference loop is a prefix of the untruncated n-fold
+/// sub-density: a narrower gate only cuts every row shorter, and each
+/// entry adds the same terms in the same order. So one build at the
+/// widest gate seen stores every row's prefix sums, folded from `-0.0`
+/// as `Iterator::sum` folds, and any narrower gate reads its survival
+/// `S(n)` as one prefix per row, bit-identical to the reference.
+#[derive(Debug)]
+struct CountPlan {
+    /// The widest bounds the plan answers.
+    bounds: CountBounds,
+    /// Length of the first-gap vector; a query whose first-gap loop stops
+    /// short of it (a stationary start under a gate narrower than about
+    /// 10 nm on the paper pitch) would truncate it, and takes the
+    /// reference loop.
+    first_bins: usize,
+    /// End of each row in `prefix`.
+    ends: Vec<usize>,
+    /// Every row's prefix sums, `[-0.0, s₀, s₀ + s₁, …]`, back to back.
+    prefix: Vec<f64>,
+}
+
+impl CountPlan {
+    /// Run the reference loop at `bounds`, keeping each row's prefix sums;
+    /// `None` past [`COUNT_PLAN_VALUES`].
+    fn build(
+        kernel: &[f64],
+        first: &[f64],
+        first_bins: usize,
+        bounds: CountBounds,
+    ) -> Option<Self> {
+        // Reserved at the budget so that growth never copies the rows:
+        // capacity never written costs no resident memory, and the
+        // finished plan is trimmed to its length.
+        let mut plan = Self {
+            bounds,
+            first_bins,
+            ends: Vec::new(),
+            prefix: Vec::with_capacity(COUNT_PLAN_VALUES),
+        };
+        let mut s = first[..bounds.row_len(1, first.len())].to_vec();
+        plan.push_row(&s)?;
+        for n in 2..=bounds.n_cap() {
+            if bounds.limit(n) < 0 || s.is_empty() {
+                break;
+            }
+            let next =
+                convolve_truncated(&s, kernel, bounds.row_len(n, s.len() + kernel.len() - 1));
+            let total = plan.push_row(&next)?;
+            s = next;
+            if total < 1e-16 && n > bounds.n_typ {
+                break;
+            }
+        }
+        plan.prefix.shrink_to_fit();
+        Some(plan)
+    }
+
+    /// Append `row`'s prefix sums and return its total.
+    fn push_row(&mut self, row: &[f64]) -> Option<f64> {
+        if self.prefix.len() + row.len() + 1 > COUNT_PLAN_VALUES {
+            return None;
+        }
+        let mut acc = -0.0_f64;
+        self.prefix.push(acc);
+        for &x in row {
+            acc += x;
+            self.prefix.push(acc);
+        }
+        self.ends.push(self.prefix.len());
+        Some(acc)
+    }
+
+    /// Prefix sums of row `n` (1-based).
+    fn row(&self, n: usize) -> Option<&[f64]> {
+        let end = *self.ends.get(n - 1)?;
+        let start = if n == 1 { 0 } else { self.ends[n - 2] };
+        Some(&self.prefix[start..end])
+    }
+
+    /// The survival vector the reference loop builds at `bounds` (which
+    /// the plan covers), with a first-gap loop of `first_bins` bins;
+    /// `None` sends the query to the reference loop.
+    fn survival(&self, bounds: CountBounds, first_bins: usize) -> Option<Vec<f64>> {
+        if first_bins < self.first_bins {
+            return None;
+        }
+        let row = self.row(1)?;
+        let mut len = bounds.row_len(1, row.len() - 1);
+        let mut surv = vec![1.0, row[len]];
+        for n in 2..=bounds.n_cap() {
+            if bounds.limit(n) < 0 || len == 0 {
+                surv.push(0.0);
+                break;
+            }
+            let row = self.row(n)?;
+            len = bounds.row_len(n, row.len() - 1);
+            let total = row[len];
+            surv.push(total);
+            if total < 1e-16 && n > bounds.n_typ {
+                break;
+            }
+        }
+        Some(surv)
+    }
+}
+
+/// Identity of a count plan: pitch parameters and grid step as bit
+/// patterns, and the start policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CountPlanKey {
+    pitch: [u64; 4],
+    step: u64,
+    start: StartPolicy,
+}
+
+#[derive(Debug)]
+struct CountPlanSlot {
+    key: CountPlanKey,
+    plan: Option<Arc<CountPlan>>,
+    /// Grid width of the narrowest plan that passed the budget: bounds
+    /// this wide or wider go straight to the reference loop.
+    too_wide: isize,
+}
+
+/// The slot for `key`, created if missing. Slots are kept least recently
+/// used first, and the first is evicted when the cache is full.
+fn count_plan_slot(slots: &mut Vec<CountPlanSlot>, key: CountPlanKey) -> &mut CountPlanSlot {
+    let slot = match slots.iter().position(|s| s.key == key) {
+        Some(i) => slots.remove(i),
+        None => {
+            if slots.len() >= COUNT_PLAN_SLOTS {
+                slots.remove(0);
+            }
+            CountPlanSlot {
+                key,
+                plan: None,
+                too_wide: isize::MAX,
+            }
+        }
+    };
+    slots.push(slot);
+    slots.last_mut().expect("slot just pushed")
+}
+
+/// Process-wide count plans. Shared instead of thread-local, unlike the
+/// sweep plans: a plan is megabytes and costs about one reference call to
+/// build, while a warm query is a handful of reads.
+static COUNT_PLANS: Mutex<Vec<CountPlanSlot>> = Mutex::new(Vec::new());
+
 /// Find `θ ≥ 0` such that `ln M(θ) = target` (`M` is the pitch MGF;
 /// `ln M` is 0 at 0 and strictly increasing for `θ > 0`, so bisection
 /// after exponential bracket growth is exact).
@@ -1298,6 +1608,15 @@ impl CountDistribution {
     pub fn from_pmf(pmf: Vec<f64>, width: f64) -> Result<Self> {
         let dist = DiscreteDist::from_weights(&pmf)?;
         Ok(Self { dist, width })
+    }
+
+    /// Build from survival values `surv[n] = P(N ≥ n)`, starting at
+    /// `surv[0] = 1`; the last count takes all of its survival mass.
+    fn from_survival(surv: &[f64], width: f64) -> Result<Self> {
+        let pmf = (0..surv.len())
+            .map(|n| (surv[n] - surv.get(n + 1).copied().unwrap_or(0.0)).max(0.0))
+            .collect();
+        Self::from_pmf(pmf, width)
     }
 
     /// The gate width this distribution was computed for (nm).
@@ -1727,6 +2046,38 @@ mod tests {
         for j in first_zero..=40_000 {
             assert_eq!(surv(j).to_bits(), 0.0f64.to_bits(), "bin {j}");
         }
+    }
+
+    #[test]
+    fn concurrent_count_plan_queries_match_the_reference() {
+        // Four threads start together and widen, read and rebuild one
+        // shared count plan at once, each in its own width order. Whatever
+        // plan a query finds, or builds, it must match the single-shot loop.
+        let rc = RenewalCount::new(pitch(), CountModel::Convolution { step: 0.5 });
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (rc, barrier) = (&rc, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for k in 0..6 {
+                        let w = 10.0 + 15.0 * ((t + k) % 6) as f64 + t as f64;
+                        let bits = |d: CountDistribution| -> Vec<u64> {
+                            d.as_discrete()
+                                .pmf_slice()
+                                .iter()
+                                .map(|p| p.to_bits())
+                                .collect()
+                        };
+                        assert_eq!(
+                            bits(rc.distribution(w).unwrap()),
+                            bits(rc.distribution_conv_reference(w, 0.5).unwrap()),
+                            "thread {t}, W = {w}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]
