@@ -24,10 +24,13 @@
 //! any worker count**.
 //!
 //! Realized knob values are clamped to their physical domain and snapped
-//! onto the relative quantization grid of [`crate::knob::snap`]; the
-//! engine memoizes die outcomes per distinct quantized knob tuple, so a
-//! 100 k-die wafer typically evaluates only a few thousand distinct
-//! scenarios through the shared curve/design caches.
+//! onto the relative quantization grid of [`crate::knob::snap`]. The
+//! engine sorts the dies by their quantized knob tuple and evaluates each
+//! distinct tuple once. Continuous fields make nearly every die its own
+//! scenario (101 750 distinct among the 101 780 dies of
+//! `examples/wafer/full_wafer_100k.json`); the sort pays on flat or tight
+//! fields, where one expensive die evaluation — a Monte-Carlo redundancy
+//! compose — serves every die that shares its tuple.
 
 use crate::builder::unknown_key;
 use crate::engine::Pipeline;
@@ -43,11 +46,9 @@ use cnfet_core::rowmodel::RowModel;
 use cnfet_fault::{short_probability, McFallback, PurityMode, RedundancyScheme};
 use cnfet_sim::adaptive::McPrecision;
 use cnt_stats::seed::split_seed;
-use cnt_stats::{DistSpec, FastMap, FastSet, FieldSampler, FieldSpec};
-use std::collections::BTreeMap;
+use cnt_stats::{grid_coordinate, DistSpec, FieldGrid, FieldSampler, FieldSpec};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
     PipelineError::InvalidSpec {
@@ -65,27 +66,6 @@ const RADIAL_BANDS: usize = 8;
 const CHUNK_DIES: usize = 1024;
 /// Largest accepted wafer diameter in dies (≈ 13 M dies).
 const MAX_DIAMETER_DIES: u32 = 4096;
-/// Shards of the quantized-scenario memo. A multi-million-die wafer with
-/// many workers hits the memo once per die; sharding by key keeps that
-/// from serializing on a single lock. Purely a contention knob — the memo
-/// is a value cache for a pure function, so shard count and lock timing
-/// cannot change any result.
-const MEMO_SHARDS: usize = 16;
-
-/// One shard of the scenario memo: quantized knob tuple → die yield.
-type MemoShard = Mutex<FastMap<(u64, u64, u64, u64), f64>>;
-
-/// Pick the memo shard for a quantized knob tuple (multiply–rotate mix of
-/// the four bit patterns, same family as `cnt_stats::fasthash`).
-fn memo_shard(key: (u64, u64, u64, u64)) -> usize {
-    const PHI64: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h = key.0;
-    h = (h ^ key.1).wrapping_mul(PHI64).rotate_left(26);
-    h = (h ^ key.2).wrapping_mul(PHI64).rotate_left(26);
-    h = (h ^ key.3).wrapping_mul(PHI64).rotate_left(26);
-    h ^= h >> 32;
-    (h.wrapping_mul(PHI64) >> 60) as usize % MEMO_SHARDS
-}
 
 /// Seed salt deriving the redundancy-compose Monte-Carlo fallback stream
 /// for wafer die evaluations, disjoint from the knob realization streams.
@@ -357,34 +337,31 @@ impl WaferSpec {
     }
 }
 
-/// One die's geometry: full-grid index (the seeding key) and position.
+/// One die's geometry: grid cell (the seeding key) and radius.
 #[derive(Debug, Clone, Copy)]
 struct Die {
-    /// Row-major index in the full `D × D` grid — stable under geometry,
-    /// which keeps per-die draws independent of how many dies exist.
-    grid_index: u64,
-    /// Grid-cell center, in die pitches from the wafer center.
-    x: f64,
-    y: f64,
+    /// Column and row in the full `D × D` grid; the row-major index
+    /// `row·D + col` is stable under geometry, which keeps per-die draws
+    /// independent of how many dies exist.
+    col: u32,
+    row: u32,
     /// Normalized radius in `[0, 1]`.
     r: f64,
 }
 
 /// Enumerate the dies of a `D`-die-diameter wafer in row-major order.
 fn die_positions(diameter_dies: u32) -> Vec<Die> {
-    let d = diameter_dies as f64;
-    let radius = d / 2.0;
+    let radius = f64::from(diameter_dies) / 2.0;
     let mut dies = Vec::new();
-    for j in 0..diameter_dies {
-        for i in 0..diameter_dies {
-            let x = (f64::from(i) + 0.5) - radius;
-            let y = (f64::from(j) + 0.5) - radius;
+    for row in 0..diameter_dies {
+        for col in 0..diameter_dies {
+            let x = grid_coordinate(diameter_dies, col);
+            let y = grid_coordinate(diameter_dies, row);
             let rr = (x * x + y * y).sqrt();
             if rr <= radius {
                 dies.push(Die {
-                    grid_index: u64::from(j) * u64::from(diameter_dies) + u64::from(i),
-                    x,
-                    y,
+                    col,
+                    row,
                     r: if radius > 0.0 {
                         (rr / radius).min(1.0)
                     } else {
@@ -430,8 +407,9 @@ pub struct WaferReport {
     pub min_die_yield: f64,
     /// Best die yield.
     pub max_die_yield: f64,
-    /// Distinct quantized knob tuples evaluated (the memo's key count —
-    /// how much the quantization grid collapsed the wafer).
+    /// Distinct quantized knob tuples among the dies — the scenarios the
+    /// engine evaluated, each exactly once (how much the quantization grid
+    /// collapsed the wafer).
     pub distinct_scenarios: u64,
     /// Die counts of the ten equal-width yield bins over `[0, 1]`.
     pub bins: Vec<u64>,
@@ -574,7 +552,6 @@ struct ChunkAgg {
     bins: [u64; YIELD_BINS],
     band_dies: [u64; RADIAL_BANDS],
     band_sum: [f64; RADIAL_BANDS],
-    distinct: FastSet<(u64, u64, u64, u64)>,
 }
 
 impl ChunkAgg {
@@ -586,11 +563,10 @@ impl ChunkAgg {
             bins: [0; YIELD_BINS],
             band_dies: [0; RADIAL_BANDS],
             band_sum: [0.0; RADIAL_BANDS],
-            distinct: FastSet::default(),
         }
     }
 
-    fn add(&mut self, y: f64, r: f64, key: (u64, u64, u64, u64)) {
+    fn add(&mut self, y: f64, r: f64) {
         self.sum_yield += y;
         self.min_yield = self.min_yield.min(y);
         self.max_yield = self.max_yield.max(y);
@@ -599,7 +575,6 @@ impl ChunkAgg {
         let band = ((r * RADIAL_BANDS as f64) as usize).min(RADIAL_BANDS - 1);
         self.band_dies[band] += 1;
         self.band_sum[band] += y;
-        self.distinct.insert(key);
     }
 
     fn merge(&mut self, other: &ChunkAgg) {
@@ -613,18 +588,7 @@ impl ChunkAgg {
             self.band_dies[i] += other.band_dies[i];
             self.band_sum[i] += other.band_sum[i];
         }
-        self.distinct.extend(other.distinct.iter().copied());
     }
-}
-
-/// The per-run constants every die evaluation shares.
-struct DieModel {
-    p_at_w: f64,
-    rho_scaled: f64,
-    grid_division: f64,
-    m_transistors: f64,
-    base_m_min: f64,
-    fault: Option<WaferFault>,
 }
 
 /// Per-run fault constants (present when the base scenario has purity or
@@ -638,40 +602,50 @@ struct WaferFault {
     mc: McFallback,
 }
 
-/// The streaming wafer evaluator over a shared [`Pipeline`].
-///
-/// Workers claim fixed 1024-die chunks from an atomic cursor, realize
-/// each die's knobs through the per-knob [`FieldSampler`]s, and look the
-/// quantized knob tuple up in a shared memo before computing. Chunk
-/// aggregates merge in chunk order, so any worker count streams to the
-/// same report.
-pub struct WaferEngine<'a> {
-    pipeline: &'a Pipeline,
+/// One wafer run's solved design and the per-run constants every die
+/// evaluation shares.
+struct WaferRun {
+    /// The seed the realization derives from.
+    seed: u64,
+    /// The design width solved on the central base (nm).
+    w_design: f64,
+    /// The central base scenario.
+    central: ScenarioSpec,
+    p_at_w: f64,
+    rho_scaled: f64,
+    grid_division: f64,
+    m_transistors: f64,
+    base_m_min: f64,
+    fault: Option<WaferFault>,
+    /// One seeded sampler per knob with a field.
+    samplers: [Option<FieldSampler>; 4],
 }
 
-impl<'a> WaferEngine<'a> {
-    /// An engine over the given pipeline (shares its caches).
-    pub fn new(pipeline: &'a Pipeline) -> Self {
-        Self { pipeline }
+impl WaferRun {
+    /// Knob `knob`'s value on every die when it has no field.
+    fn central_knob(&self, knob: usize) -> f64 {
+        match knob {
+            0 => self.central.density.as_fixed().unwrap_or(1.0),
+            1 => self.central.l_cnt_um.as_fixed().unwrap_or(paper::L_CNT_UM),
+            // 0 signals "use the base solution's M_min" downstream.
+            2 => 0.0,
+            _ => self.central.purity.dist.as_fixed().unwrap_or(1.0),
+        }
     }
 
-    /// Evaluate one die from its realized knob values.
-    fn die_yield(
-        model: &DieModel,
-        spec: &ScenarioSpec,
-        knobs: (f64, f64, f64, f64),
-    ) -> Result<f64> {
-        let (density, l_cnt, m_min_frac, purity) = knobs;
-        let row = RowModel::from_design(l_cnt, model.rho_scaled * density)?
-            .with_grid_division(model.grid_division)?;
-        let relaxation = Pipeline::relaxation(spec, &row);
+    /// Evaluate one die from its quantized knob values.
+    fn die_yield(&self, knobs: [f64; 4]) -> Result<f64> {
+        let [density, l_cnt, m_min_frac, purity] = knobs;
+        let row = RowModel::from_design(l_cnt, self.rho_scaled * density)?
+            .with_grid_division(self.grid_division)?;
+        let relaxation = Pipeline::relaxation(&self.central, &row);
         let m_min = if m_min_frac > 0.0 {
-            (m_min_frac * model.m_transistors).max(1.0)
+            (m_min_frac * self.m_transistors).max(1.0)
         } else {
-            model.base_m_min
+            self.base_m_min
         };
-        let p_eff = (model.p_at_w / relaxation.max(1.0)).min(0.999_999);
-        let Some(fault) = &model.fault else {
+        let p_eff = (self.p_at_w / relaxation.max(1.0)).min(0.999_999);
+        let Some(fault) = &self.fault else {
             return Ok(yield_min_dominated(p_eff, m_min));
         };
         // Fault-aware die: the per-die purity shorts a fraction of the
@@ -691,22 +665,208 @@ impl<'a> WaferEngine<'a> {
         Ok(outcome.circuit_yield)
     }
 
-    /// Run the wafer workload: solve the central base scenario for
-    /// `W_design`, then stream every die through the field realizations.
-    ///
-    /// `seed` drives the realization unless the spec pins its own;
-    /// `workers` is purely a wall-clock knob (the report is byte-identical
-    /// for any value).
+    /// Realize every die's quantized knob tuple into one `(key, die)`
+    /// vector in die order, filled in place in parts of `part_len` dies,
+    /// one thread per part.
+    fn realize(&self, diameter: u32, dies: &[Die], part_len: usize) -> Vec<(Key, u32)> {
+        let fields: [Option<FieldGrid>; 4] = std::array::from_fn(|i| {
+            self.samplers[i]
+                .as_ref()
+                .map(|s| FieldGrid::new(s, diameter))
+        });
+        let central: [f64; 4] = std::array::from_fn(|i| self.central_knob(i));
+        let mut entries = vec![([0; 4], 0); dies.len()];
+        let parts = entries
+            .chunks_mut(part_len)
+            .zip(dies.chunks(part_len))
+            .enumerate()
+            .collect();
+        map_parts(parts, |(p, (entries, dies))| {
+            for (k, (entry, die)) in entries.iter_mut().zip(dies).enumerate() {
+                let knobs: [f64; 4] = std::array::from_fn(|i| match &fields[i] {
+                    Some(field) => snapped_knob(i, field, die),
+                    None => central[i],
+                });
+                *entry = (knobs.map(f64::to_bits), (p * part_len + k) as u32);
+            }
+        });
+        entries
+    }
+
+    /// Evaluate each distinct tuple of the sorted `entries` exactly once,
+    /// in up to `parts` ranges that split between tuples, and scatter its
+    /// yield to the tuple's dies. Returns the per-die yields and the
+    /// number of distinct tuples.
     ///
     /// # Errors
     ///
-    /// Propagates validation, model, and solver errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or a worker thread panics.
-    pub fn run(&self, spec: &WaferSpec, seed: u64, workers: usize) -> Result<WaferReport> {
-        assert!(workers > 0, "wafer engine requires at least one worker");
+    /// The error of the first failing die in die order: sorting on the die
+    /// number too puts each tuple's first die first, and a failure is a
+    /// function of the tuple alone.
+    fn evaluate(&self, entries: &[(Key, u32)], parts: usize) -> Result<(Vec<AtomicU64>, u64)> {
+        let n = entries.len();
+        let mut cuts = vec![0];
+        for p in 1..parts {
+            let mut cut = (p * n / parts).max(cuts[cuts.len() - 1]);
+            while cut < n && entries[cut].0 == entries[cut - 1].0 {
+                cut += 1;
+            }
+            cuts.push(cut);
+        }
+        cuts.push(n);
+        let ranges = cuts
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| &entries[w[0]..w[1]])
+            .collect();
+        // Each die's slot is stored once. `Relaxed` suffices: the scoped
+        // threads are joined before any slot is read.
+        let yields: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let outcomes = map_parts(ranges, |range| {
+            let mut distinct = 0_u64;
+            let mut failure: Option<(u32, PipelineError)> = None;
+            for group in range.chunk_by(|a, b| a.0 == b.0) {
+                distinct += 1;
+                let first_die = group[0].1;
+                if failure.as_ref().is_some_and(|(die, _)| *die < first_die) {
+                    continue;
+                }
+                match self.die_yield(group[0].0.map(f64::from_bits)) {
+                    Ok(y) => {
+                        for &(_, die) in group {
+                            yields[die as usize].store(y.to_bits(), Ordering::Relaxed);
+                        }
+                    }
+                    Err(e) => failure = Some((first_die, e)),
+                }
+            }
+            (distinct, failure)
+        });
+        let mut distinct = 0;
+        let mut failure: Option<(u32, PipelineError)> = None;
+        for (count, range_failure) in outcomes {
+            distinct += count;
+            if let Some((die, e)) = range_failure {
+                if failure.as_ref().is_none_or(|(first, _)| die < *first) {
+                    failure = Some((die, e));
+                }
+            }
+        }
+        match failure {
+            Some((_, e)) => Err(e),
+            None => Ok((yields, distinct)),
+        }
+    }
+
+    /// The report over `dies` dies whose chunk aggregates merged into
+    /// `total`.
+    fn report(
+        &self,
+        spec: &WaferSpec,
+        dies: usize,
+        total: &ChunkAgg,
+        distinct: u64,
+    ) -> WaferReport {
+        let n = dies as u64;
+        let radial = (0..RADIAL_BANDS)
+            .map(|i| RadialBand {
+                r_lo: i as f64 / RADIAL_BANDS as f64,
+                r_hi: (i + 1) as f64 / RADIAL_BANDS as f64,
+                dies: total.band_dies[i],
+                mean_yield: if total.band_dies[i] > 0 {
+                    total.band_sum[i] / total.band_dies[i] as f64
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        WaferReport {
+            name: spec.name.clone(),
+            seed: self.seed,
+            diameter_dies: spec.diameter_dies,
+            dies: n,
+            w_design_nm: self.w_design,
+            overall_yield: if n > 0 {
+                total.sum_yield / n as f64
+            } else {
+                0.0
+            },
+            min_die_yield: if n > 0 { total.min_yield } else { 0.0 },
+            max_die_yield: if n > 0 { total.max_yield } else { 0.0 },
+            distinct_scenarios: distinct,
+            bins: total.bins.to_vec(),
+            radial,
+        }
+    }
+}
+
+/// A die's quantized knob tuple as bit patterns: the sort key that groups
+/// dies sharing a scenario.
+type Key = [u64; 4];
+
+/// Knob `knob`'s quantized value on `die`. The field grid's enclosure
+/// decides it when both ends snap to the same value — [`knob::snap`] is
+/// monotone, so the exact realization inside snaps there too — and the
+/// exact realization answers otherwise.
+fn snapped_knob(knob: usize, grid: &FieldGrid, die: &Die) -> f64 {
+    let (lo, hi) = grid.enclose(die.col, die.row, die.r);
+    let v = knob::snap(knob, lo);
+    if lo == hi || knob::snap(knob, hi) == v {
+        v
+    } else {
+        knob::snap(knob, grid.realize(die.col, die.row, die.r))
+    }
+}
+
+/// Map `job` over `parts`: the first part on the calling thread, each
+/// other part on its own scoped thread. Results come back in part order.
+///
+/// # Panics
+///
+/// Propagates a panic from `job`.
+fn map_parts<P: Send, R: Send>(parts: Vec<P>, job: impl Fn(P) -> R + Sync) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let job = &job;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = parts.map(|p| scope.spawn(move || job(p))).collect();
+        let mut out = vec![job(first)];
+        out.extend(
+            rest.into_iter()
+                .map(|h| h.join().expect("wafer worker panicked")),
+        );
+        out
+    })
+}
+
+/// The wafer evaluator over a shared [`Pipeline`].
+///
+/// A run has three phases, each split into at most `workers` parts (one
+/// per thread, the first on the calling thread) with no lock or memo:
+///
+/// 1. every die's quantized knob tuple is realized into one
+///    `(key, die)` vector, filled in place over fixed 1024-die chunks;
+/// 2. one `sort_unstable` groups the dies by tuple, and each distinct
+///    tuple is evaluated exactly once, on ranges that split between
+///    tuples;
+/// 3. die yields are aggregated per chunk and merged in chunk order.
+///
+/// So any worker count streams to the same report — and to the same
+/// error, the one of the first failing die in die order.
+pub struct WaferEngine<'a> {
+    pipeline: &'a Pipeline,
+}
+
+impl<'a> WaferEngine<'a> {
+    /// An engine over the given pipeline (shares its caches).
+    pub fn new(pipeline: &'a Pipeline) -> Self {
+        Self { pipeline }
+    }
+
+    /// Solve the central base for `W_design` and seed the knob samplers.
+    fn prepare(&self, spec: &WaferSpec, seed: u64) -> Result<WaferRun> {
         spec.validate()?;
         let seed = spec.seed.unwrap_or(seed);
 
@@ -750,15 +910,6 @@ impl<'a> WaferEngine<'a> {
         } else {
             None
         };
-        let model = DieModel {
-            p_at_w: base_report.p_at_w_min,
-            rho_scaled: rho_base * base_node / central.node_nm,
-            grid_division: central.grid.benefit_division(),
-            m_transistors: central.m_transistors,
-            base_m_min: base_report.m_min,
-            fault,
-        };
-
         // Seed one sampler per knob; die draws key off the full-grid die
         // index inside the sampler, so they are position-stable.
         let knob_base = split_seed(seed, knob::KNOB_SALT);
@@ -772,118 +923,70 @@ impl<'a> WaferEngine<'a> {
                 );
             }
         }
-        let central_knob = |knob: usize| -> f64 {
-            match knob {
-                0 => central.density.as_fixed().unwrap_or(1.0),
-                1 => central.l_cnt_um.as_fixed().unwrap_or(paper::L_CNT_UM),
-                // 0 signals "use the base solution's M_min" downstream.
-                2 => 0.0,
-                _ => central.purity.dist.as_fixed().unwrap_or(1.0),
-            }
-        };
+        Ok(WaferRun {
+            seed,
+            w_design,
+            p_at_w: base_report.p_at_w_min,
+            rho_scaled: rho_base * base_node / central.node_nm,
+            grid_division: central.grid.benefit_division(),
+            m_transistors: central.m_transistors,
+            base_m_min: base_report.m_min,
+            fault,
+            central,
+            samplers,
+        })
+    }
 
+    /// Run the wafer workload: solve the central base scenario for
+    /// `W_design`, then stream every die through the field realizations.
+    ///
+    /// `seed` drives the realization unless the spec pins its own;
+    /// `workers` is purely a wall-clock knob (the report is byte-identical
+    /// for any value).
+    ///
+    /// # Errors
+    ///
+    /// Propagates validation, model, and solver errors. When dies fail,
+    /// the error is that of the first failing die in die order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0` or a worker thread panics.
+    pub fn run(&self, spec: &WaferSpec, seed: u64, workers: usize) -> Result<WaferReport> {
+        assert!(workers > 0, "wafer engine requires at least one worker");
+        let run = self.prepare(spec, seed)?;
         let dies = die_positions(spec.diameter_dies);
         let chunks = dies.len().div_ceil(CHUNK_DIES).max(1);
-        let cursor = AtomicUsize::new(0);
-        let memo: [MemoShard; MEMO_SHARDS] =
-            std::array::from_fn(|_| Mutex::new(FastMap::default()));
-        let results: Mutex<BTreeMap<usize, ChunkAgg>> = Mutex::new(BTreeMap::new());
-        let failure: Mutex<Option<PipelineError>> = Mutex::new(None);
+        let parts = workers.min(chunks);
+        // Each part is a run of whole chunks.
+        let part_len = chunks.div_ceil(parts) * CHUNK_DIES;
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(chunks) {
-                scope.spawn(|| loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunks || failure.lock().expect("wafer lock").is_some() {
-                        return;
-                    }
-                    let lo = chunk * CHUNK_DIES;
-                    let hi = (lo + CHUNK_DIES).min(dies.len());
-                    let mut agg = ChunkAgg::new();
-                    for die in &dies[lo..hi] {
-                        let mut knobs = [0.0_f64; 4];
-                        for (i, k) in knobs.iter_mut().enumerate() {
-                            *k = match &samplers[i] {
-                                Some(s) => {
-                                    knob::snap(i, s.realize(die.grid_index, die.x, die.y, die.r))
-                                }
-                                None => central_knob(i),
-                            };
+        let mut entries = run.realize(spec.diameter_dies, &dies, part_len);
+        entries.sort_unstable();
+        let (yields, distinct) = run.evaluate(&entries, parts)?;
+
+        // Aggregate per chunk, merged in chunk order — the determinism
+        // barrier.
+        let aggs = map_parts(
+            dies.chunks(part_len).zip(yields.chunks(part_len)).collect(),
+            |(dies, yields)| {
+                dies.chunks(CHUNK_DIES)
+                    .zip(yields.chunks(CHUNK_DIES))
+                    .map(|(dies, yields)| {
+                        let mut agg = ChunkAgg::new();
+                        for (die, y) in dies.iter().zip(yields) {
+                            agg.add(f64::from_bits(y.load(Ordering::Relaxed)), die.r);
                         }
-                        let key = (
-                            knobs[0].to_bits(),
-                            knobs[1].to_bits(),
-                            knobs[2].to_bits(),
-                            knobs[3].to_bits(),
-                        );
-                        let shard = &memo[memo_shard(key)];
-                        let cached = shard.lock().expect("wafer lock").get(&key).copied();
-                        let y = match cached {
-                            Some(y) => y,
-                            None => {
-                                match Self::die_yield(
-                                    &model,
-                                    &central,
-                                    (knobs[0], knobs[1], knobs[2], knobs[3]),
-                                ) {
-                                    Ok(y) => {
-                                        shard.lock().expect("wafer lock").insert(key, y);
-                                        y
-                                    }
-                                    Err(e) => {
-                                        *failure.lock().expect("wafer lock") = Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                        };
-                        agg.add(y, die.r, key);
-                    }
-                    results.lock().expect("wafer lock").insert(chunk, agg);
-                });
-            }
-        });
-
-        if let Some(e) = failure.into_inner().expect("wafer lock") {
-            return Err(e);
-        }
-        let results = results.into_inner().expect("wafer lock");
+                        agg
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
         let mut total = ChunkAgg::new();
-        // BTreeMap iteration is chunk order — the determinism barrier.
-        for agg in results.values() {
+        for agg in aggs.iter().flatten() {
             total.merge(agg);
         }
-
-        let n = dies.len() as u64;
-        let radial = (0..RADIAL_BANDS)
-            .map(|i| RadialBand {
-                r_lo: i as f64 / RADIAL_BANDS as f64,
-                r_hi: (i + 1) as f64 / RADIAL_BANDS as f64,
-                dies: total.band_dies[i],
-                mean_yield: if total.band_dies[i] > 0 {
-                    total.band_sum[i] / total.band_dies[i] as f64
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        Ok(WaferReport {
-            name: spec.name.clone(),
-            seed,
-            diameter_dies: spec.diameter_dies,
-            dies: n,
-            w_design_nm: w_design,
-            overall_yield: if n > 0 {
-                total.sum_yield / n as f64
-            } else {
-                0.0
-            },
-            min_die_yield: if n > 0 { total.min_yield } else { 0.0 },
-            max_die_yield: if n > 0 { total.max_yield } else { 0.0 },
-            distinct_scenarios: total.distinct.len() as u64,
-            bins: total.bins.to_vec(),
-            radial,
-        })
+        Ok(run.report(spec, dies.len(), &total, distinct))
     }
 }
 
@@ -931,8 +1034,10 @@ mod tests {
         for die in &d {
             assert!(die.r <= 1.0);
         }
-        // Full-grid indices are unique and row-major increasing.
-        assert!(d.windows(2).all(|w| w[0].grid_index < w[1].grid_index));
+        // Cells are unique and row-major increasing.
+        assert!(d
+            .windows(2)
+            .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)));
     }
 
     #[test]
@@ -990,7 +1095,7 @@ mod tests {
     fn quantization_collapses_tight_fields() {
         // Clamped to [0.9, 1.1], the relative 2⁻¹⁰ grid holds ~300
         // representable points — far fewer than the wafer's dies — so the
-        // memo must collapse the workload by pigeonhole.
+        // dies must share scenarios by pigeonhole.
         let mut spec = WaferSpec::new("tight", 28, fast_base());
         spec.fields[0] = Some(FieldSpec {
             dist: DistSpec::Gaussian {
@@ -1090,5 +1195,157 @@ mod tests {
         );
         let report_json = report.to_json();
         assert_eq!(WaferReport::from_json(&report_json).unwrap(), report);
+    }
+
+    /// The wafer the slow way: every die realized exactly, snapped and
+    /// evaluated in die order — stopping at the first failing die — then
+    /// aggregated chunk by chunk.
+    fn reference(spec: &WaferSpec, seed: u64) -> Result<WaferReport> {
+        let p = Pipeline::new();
+        let run = WaferEngine::new(&p).prepare(spec, seed)?;
+        let d = spec.diameter_dies;
+        let dies = die_positions(d);
+        let mut scenarios = std::collections::BTreeSet::new();
+        let mut total = ChunkAgg::new();
+        for chunk in dies.chunks(CHUNK_DIES) {
+            let mut agg = ChunkAgg::new();
+            for die in chunk {
+                let knobs: [f64; 4] = std::array::from_fn(|i| match &run.samplers[i] {
+                    Some(s) => knob::snap(
+                        i,
+                        s.realize(
+                            u64::from(die.row) * u64::from(d) + u64::from(die.col),
+                            grid_coordinate(d, die.col),
+                            grid_coordinate(d, die.row),
+                            die.r,
+                        ),
+                    ),
+                    None => run.central_knob(i),
+                });
+                agg.add(run.die_yield(knobs)?, die.r);
+                scenarios.insert(knobs.map(f64::to_bits));
+            }
+            total.merge(&agg);
+        }
+        Ok(run.report(spec, dies.len(), &total, scenarios.len() as u64))
+    }
+
+    /// Knob realizations of `spec` whose enclosure ends snap apart — the
+    /// dies where the engine falls back to the exact realization.
+    fn fallbacks(spec: &WaferSpec, seed: u64) -> usize {
+        let p = Pipeline::new();
+        let run = WaferEngine::new(&p).prepare(spec, seed).unwrap();
+        let dies = die_positions(spec.diameter_dies);
+        let mut count = 0;
+        for (i, sampler) in run.samplers.iter().enumerate() {
+            let Some(field) = sampler
+                .as_ref()
+                .map(|s| FieldGrid::new(s, spec.diameter_dies))
+            else {
+                continue;
+            };
+            for die in &dies {
+                let (lo, hi) = field.enclose(die.col, die.row, die.r);
+                count += usize::from(knob::snap(i, lo) != knob::snap(i, hi));
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn wafer_matches_the_per_die_reference() {
+        // A white-noise density field (correlation length far below a die
+        // pitch) widens the certified enclosure until many dies straddle a
+        // quantization boundary and take the exact fallback.
+        let mut white = demo_spec(24);
+        white.fields[0] = Some(FieldSpec {
+            noise_sd: 0.5,
+            correlation_dies: 1e-9,
+            ..white.fields[0].unwrap()
+        });
+        let fallbacks_taken = fallbacks(&white, 5);
+        assert!(
+            fallbacks_taken > 10 && fallbacks_taken < white.die_count() as usize / 2,
+            "{fallbacks_taken} fallbacks over {} dies",
+            white.die_count()
+        );
+        let mut single = demo_spec(1);
+        single.fields[1] = Some(FieldSpec {
+            noise_sd: 0.2,
+            correlation_dies: 0.5,
+            ..FieldSpec::from_dist(DistSpec::Uniform {
+                lo: 150.0,
+                hi: 250.0,
+            })
+        });
+        let mut tmr = WaferSpec::new("fault", 20, fast_base());
+        tmr.base.purity = PuritySpec {
+            dist: DistSpec::Fixed(1.0 - 1e-7),
+            mode: PurityMode::Short,
+        };
+        tmr.base.redundancy = RedundancyScheme::Tmr;
+        tmr.fields[3] = Some(FieldSpec {
+            noise_sd: 0.3,
+            correlation_dies: 3.0,
+            ..FieldSpec::from_dist(DistSpec::Uniform {
+                lo: 0.99999,
+                hi: 0.999999999,
+            })
+        });
+        for (spec, seed) in [(demo_spec(28), 7), (white, 5), (single, 9), (tmr, 7)] {
+            let want = reference(&spec, seed).unwrap();
+            let want_bytes = want.to_json().to_string_pretty();
+            for workers in [1, 2, 4] {
+                let p = Pipeline::new();
+                let got = WaferEngine::new(&p).run(&spec, seed, workers).unwrap();
+                assert_eq!(got, want, "`{}` at {workers} workers", spec.name);
+                assert_eq!(got.to_json().to_string_pretty(), want_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn wafer_error_is_the_first_failing_die_for_any_worker_count() {
+        // Sub-micron CNT lengths break the row model on some dies; which
+        // die's error comes back must not depend on thread timing.
+        let mut spec = WaferSpec::new("failing", 360, fast_base());
+        spec.fields[1] = Some(FieldSpec {
+            dist: DistSpec::Uniform { lo: 0.3, hi: 0.9 },
+            trend: 3.0,
+            noise_sd: 0.1,
+            correlation_dies: 4.0,
+            clamp_lo: f64::NEG_INFINITY,
+            clamp_hi: f64::INFINITY,
+        });
+        let want = reference(&spec, 3).unwrap_err().to_string();
+        assert!(want.contains("`m_r_min` = 0.96943359375"), "{want}");
+        for workers in [1, 2, 4] {
+            let p = Pipeline::new();
+            let got = WaferEngine::new(&p).run(&spec, 3, workers).unwrap_err();
+            assert_eq!(got.to_string(), want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn flat_mc_compose_wafer_evaluates_one_scenario() {
+        // Past the exact-term limit a repairable-tile die pays a
+        // Monte-Carlo compose; on a flat wafer every die shares one
+        // scenario, so the run pays exactly one.
+        let mut spec = WaferSpec::new("flat-tile", 40, fast_base());
+        spec.base.redundancy = RedundancyScheme::RepairableTile {
+            tiles: 16_384,
+            spare_tiles: 8_192,
+            test_coverage: 0.999,
+        };
+        let p = Pipeline::new();
+        let engine = WaferEngine::new(&p);
+        let one = engine.run(&spec, 3, 1).unwrap();
+        let four = engine.run(&spec, 3, 4).unwrap();
+        assert_eq!(one.distinct_scenarios, 1);
+        assert_eq!(one.dies, spec.die_count());
+        assert_eq!(
+            one.to_json().to_string_pretty(),
+            four.to_json().to_string_pretty()
+        );
     }
 }

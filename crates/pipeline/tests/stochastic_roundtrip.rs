@@ -1,8 +1,11 @@
 //! Property tests for the stochastic scenario layer: every `DistSpec`,
 //! `FieldSpec`, and `WaferSpec` form must survive JSON serialize → parse
 //! unchanged — including the scalar back-compat form, where a bare number
-//! still parses as `Fixed` and re-serializes as the same bare number.
+//! still parses as `Fixed` and re-serializes as the same bare number —
+//! and `knob::snap` must be monotone, which the wafer engine's certified
+//! knob realization relies on.
 
+use cnfet_pipeline::knob::{knob_domain, snap};
 use cnfet_pipeline::{
     dist_from_json, dist_to_json, field_from_json, field_to_json, Json, ScenarioSpec, WaferSpec,
 };
@@ -151,6 +154,46 @@ proptest! {
                 matches!(rewire.get(key), Some(Json::Num(_))),
                 "`{}` must stay a scalar on the wire", key
             );
+        }
+    }
+}
+
+/// `v` and its `k` nearest floats on either side (for `v > 0`).
+fn neighbours(v: f64, k: u64) -> impl Iterator<Item = f64> {
+    let bits = v.to_bits();
+    (bits.saturating_sub(k)..=bits + k).map(f64::from_bits)
+}
+
+proptest! {
+    #[test]
+    fn snap_is_monotone_for_every_knob(
+        exponent in -40i32..16,
+        frac in 0.0f64..1.0,
+        log_gap in -12.0f64..-0.31,
+    ) {
+        // Probes: adjacent floats around a power of two, around a random
+        // value in its octave and around that value's rounding midpoint on
+        // the 2⁻¹⁰ grid; purities within 1e-12 … 0.5 of 1 and the floats
+        // just below 1; and every knob's domain edges.
+        let octave = 2f64.powi(exponent);
+        let v = octave * (1.0 + frac);
+        let step = octave / 1024.0;
+        let midpoint = ((v / step).floor() + 0.5) * step;
+        let mut probes: Vec<f64> = [octave, v, midpoint, 1.0 - 10f64.powf(log_gap), 1.0]
+            .into_iter()
+            .flat_map(|p| neighbours(p, 3))
+            .collect();
+        for knob in 0..4 {
+            let (lo, hi) = knob_domain(knob);
+            probes.extend(neighbours(lo, 2).chain(neighbours(hi, 2)));
+        }
+        probes.sort_by(f64::total_cmp);
+        for knob in 0..4 {
+            for pair in probes.windows(2) {
+                let (a, b) = (snap(knob, pair[0]), snap(knob, pair[1]));
+                prop_assert!(a <= b,
+                    "knob {}: snap({:e}) = {:e} > snap({:e}) = {:e}", knob, pair[0], a, pair[1], b);
+            }
         }
     }
 }

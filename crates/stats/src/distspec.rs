@@ -360,18 +360,43 @@ impl FieldSampler {
         })
     }
 
+    /// Amplitude of one harmonic: `noise_sd · √(2/K)` gives the sum of
+    /// `K` unit cosines the standard deviation `noise_sd`.
+    fn amplitude(&self) -> f64 {
+        self.spec.noise_sd * (2.0 / FIELD_HARMONICS as f64).sqrt()
+    }
+
     /// The zero-mean correlated noise surface at `(x, y)` (die pitches).
     pub fn noise_at(&self, x: f64, y: f64) -> f64 {
         if self.spec.noise_sd == 0.0 {
             return 0.0;
         }
-        let amp = self.spec.noise_sd * (2.0 / FIELD_HARMONICS as f64).sqrt();
         let sum: f64 = self
             .harmonics
             .iter()
             .map(|h| (h.wx * x + h.wy * y + h.phase).cos())
             .sum();
-        amp * sum
+        self.amplitude() * sum
+    }
+
+    /// Die `die_index`'s independent draw from the local distribution.
+    fn local_at(&self, die_index: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(split_seed(
+            split_seed(self.seed, FIELD_LOCAL_SALT),
+            die_index,
+        ));
+        self.local.sample(&mut rng)
+    }
+
+    /// Combine a die's local draw, normalized radius and noise value into
+    /// the clamped knob value. For a fixed `local` and `r` this is
+    /// monotone in `noise` — non-decreasing when `local·(1 + trend·r) ≥ 0`,
+    /// non-increasing otherwise — because every step is: a rounded sum or
+    /// product with a fixed operand, the `0.05` floor and the clamp.
+    fn finish(&self, local: f64, r: f64, noise: f64) -> f64 {
+        let trend_factor = 1.0 + self.spec.trend * r;
+        let noise_factor = (1.0 + noise).max(0.05);
+        (local * trend_factor * noise_factor).clamp(self.spec.clamp_lo, self.spec.clamp_hi)
     }
 
     /// Realize the knob value for die `die_index` at grid position
@@ -384,14 +409,180 @@ impl FieldSampler {
     /// positive knob negative; the final value lands in
     /// `[clamp_lo, clamp_hi]`.
     pub fn realize(&self, die_index: u64, x: f64, y: f64, r: f64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(split_seed(
-            split_seed(self.seed, FIELD_LOCAL_SALT),
-            die_index,
-        ));
-        let local = self.local.sample(&mut rng);
-        let trend_factor = 1.0 + self.spec.trend * r;
-        let noise_factor = (1.0 + self.noise_at(x, y)).max(0.05);
-        (local * trend_factor * noise_factor).clamp(self.spec.clamp_lo, self.spec.clamp_hi)
+        self.finish(self.local_at(die_index), r, self.noise_at(x, y))
+    }
+}
+
+/// The centre of grid column or row `i` of a `diameter`-die grid, in die
+/// pitches from the wafer centre: `(i + 0.5) − diameter/2`. Exact for
+/// every `u32` input (a difference of two half-integers below 2⁵²).
+pub fn grid_coordinate(diameter: u32, i: u32) -> f64 {
+    (f64::from(i) + 0.5) - f64::from(diameter) / 2.0
+}
+
+/// `cos` and `sin` of one grid line's phase for every harmonic.
+#[derive(Debug, Clone, Copy)]
+struct Trig {
+    cos: [f64; FIELD_HARMONICS],
+    sin: [f64; FIELD_HARMONICS],
+}
+
+impl Trig {
+    fn new(phase: impl Fn(&Harmonic) -> f64, harmonics: &[Harmonic]) -> Self {
+        let mut t = Trig {
+            cos: [0.0; FIELD_HARMONICS],
+            sin: [0.0; FIELD_HARMONICS],
+        };
+        for (k, h) in harmonics.iter().enumerate() {
+            (t.sin[k], t.cos[k]) = phase(h).sin_cos();
+        }
+        t
+    }
+}
+
+/// A [`FieldSampler`] tabulated over a square die grid: a certified fast
+/// enclosure of [`FieldSampler::realize`] (see [`FieldGrid::enclose`]).
+///
+/// `realize` spends 16 libm `cos` calls per die on the noise surface.
+/// Each harmonic's phase `wx·x + wy·y + φ` splits into a column part
+/// `a = wx·x + φ` and a row part `b = wy·y`, so with `cos` and `sin` of
+/// both tabulated once per run (`32·D` libm calls per table),
+/// `cos(a + b) = cos a·cos b − sin a·sin b` costs two multiplies and a
+/// subtract per harmonic. The result differs from `realize`'s own rounding
+/// by a few ulps, so the grid widens it by a proven bound into an
+/// interval that contains `realize`'s value.
+#[derive(Debug, Clone)]
+pub struct FieldGrid<'a> {
+    sampler: &'a FieldSampler,
+    diameter: u32,
+    /// Per-column and per-row tables plus the bound `delta`; `None` when
+    /// the field has no noise or the bound is too loose to be useful,
+    /// where the enclosure is `realize`'s exact point.
+    trig: Option<GridTrig>,
+}
+
+#[derive(Debug, Clone)]
+struct GridTrig {
+    cols: Vec<Trig>,
+    rows: Vec<Trig>,
+    delta: f64,
+}
+
+impl<'a> FieldGrid<'a> {
+    /// Tabulate `sampler` over the columns and rows of a
+    /// `diameter × diameter` die grid.
+    ///
+    /// # The bound `delta`
+    ///
+    /// Let `u = 2⁻⁵³`, `R = diameter/2` (every grid coordinate has
+    /// `|x| < R`), and for one harmonic `(wx, wy, φ)` at die `(x, y)` let
+    /// `p = fl(wx·x)` and `q = fl(wy·y)` — the same rounded products on
+    /// both paths — and `θ = p + q + φ` exactly.
+    ///
+    /// * `realize` evaluates `cos t`, `t = fl(fl(p + q) + φ)`, so
+    ///   `|t − θ| ≤ u·|p + q| + u·|fl(p + q) + φ| ≤ u·((2 + u)·|p + q| + |φ|)`.
+    /// * The tables hold `cos`/`sin` of `a = fl(p + φ)` and of `q`, and
+    ///   `|a + q − θ| ≤ u·(|p| + |φ|)`. Rounding the two products and the
+    ///   difference adds at most `4u` (all factors lie in `[−1, 1]` up to
+    ///   libm error), and the angle-sum identity is exact.
+    /// * With libm `cos`/`sin` within `E` of the true value (glibc
+    ///   documents 1 ulp, `E ≤ 2u`), the two terms differ by at most
+    ///   `u·((3 + 4u)·|wx|·R + (2 + 3u)·|wy|·R + 2|φ|) + 5E + 4u + O(u²)`.
+    /// * Each path adds its 16 terms with 15 rounded additions in some
+    ///   order, so each sum is within `γ₁₅·16·(1 + 5E) ≈ 240u` of the
+    ///   exact sum of its terms.
+    ///
+    /// So the fast sum `S` and `realize`'s sum differ by at most
+    /// `Σ_h u·(3|wx_h|·R + 2|wy_h|·R + 2|φ_h|) + 16·(5E + 4u) + 480u`
+    /// (plus `O(u²)`), and the grid takes
+    ///
+    /// ```text
+    /// delta = 2⁻⁵⁰·Σ_h (|wx_h|·R + |wy_h|·R + |φ_h| + 1) + 2⁻⁴⁰
+    /// ```
+    ///
+    /// `2⁻⁵⁰ = 8u` covers the per-harmonic terms with a factor ≥ 2.6 to
+    /// spare. `2⁻⁴⁰ = 8192u` covers the constants with libm error up to
+    /// about 48 ulp, and also absorbs the rounding of `delta` itself and
+    /// of `S ± delta` (at most 16u, as `|S| ≤ 16 + delta`). The grid keeps
+    /// tables only when `delta ≤ 1`: then `|p|` and `|q|` stay below
+    /// `2⁵⁰·(1 + u)`, so no step of either path can overflow.
+    pub fn new(sampler: &'a FieldSampler, diameter: u32) -> Self {
+        let radius = f64::from(diameter) / 2.0;
+        let harmonics = &sampler.harmonics;
+        let delta = harmonics
+            .iter()
+            .map(|h| (h.wx.abs() + h.wy.abs()) * radius + h.phase.abs() + 1.0)
+            .sum::<f64>()
+            * 2f64.powi(-50)
+            + 2f64.powi(-40);
+        let trig = (sampler.spec.noise_sd != 0.0 && delta <= 1.0).then(|| {
+            let line = |i: u32| grid_coordinate(diameter, i);
+            GridTrig {
+                cols: (0..diameter)
+                    .map(|i| Trig::new(|h| h.wx * line(i) + h.phase, harmonics))
+                    .collect(),
+                rows: (0..diameter)
+                    .map(|j| Trig::new(|h| h.wy * line(j), harmonics))
+                    .collect(),
+                delta,
+            }
+        });
+        Self {
+            sampler,
+            diameter,
+            trig,
+        }
+    }
+
+    /// An interval `[lo, hi]` that contains
+    /// `realize(row·D + col, x_col, y_row, r)` bit for bit, where `D` is
+    /// the grid's diameter and `x_col`, `y_row` are [`grid_coordinate`]s.
+    ///
+    /// The fast harmonic sum `S` is widened to `S ± delta` (see
+    /// [`FieldGrid::new`]), which contains `realize`'s own rounded sum;
+    /// `realize`'s remaining arithmetic is monotone in that sum, so the
+    /// same arithmetic at both ends brackets its value. A monotone
+    /// quantizer that maps `lo` and `hi` to the same value therefore maps
+    /// `realize`'s value there too. Without noise, or on a grid too coarse
+    /// to certify, the interval is `realize`'s exact point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` or `row` is outside a tabulated grid.
+    pub fn enclose(&self, col: u32, row: u32, r: f64) -> (f64, f64) {
+        let Some(trig) = &self.trig else {
+            let v = self.realize(col, row, r);
+            return (v, v);
+        };
+        let s = self.sampler;
+        let (a, b) = (&trig.cols[col as usize], &trig.rows[row as usize]);
+        let sum: f64 = (0..FIELD_HARMONICS)
+            .map(|k| a.cos[k] * b.cos[k] - a.sin[k] * b.sin[k])
+            .sum();
+        let local = s.local_at(self.die_index(col, row));
+        let amp = s.amplitude();
+        let lo = s.finish(local, r, amp * (sum - trig.delta));
+        let hi = s.finish(local, r, amp * (sum + trig.delta));
+        if lo <= hi {
+            (lo, hi)
+        } else {
+            (hi, lo)
+        }
+    }
+
+    /// [`FieldSampler::realize`]'s exact value for die `(col, row)`.
+    pub fn realize(&self, col: u32, row: u32, r: f64) -> f64 {
+        self.sampler.realize(
+            self.die_index(col, row),
+            grid_coordinate(self.diameter, col),
+            grid_coordinate(self.diameter, row),
+            r,
+        )
+    }
+
+    /// Row-major index of die `(col, row)` in the full grid.
+    fn die_index(&self, col: u32, row: u32) -> u64 {
+        u64::from(row) * u64::from(self.diameter) + u64::from(col)
     }
 }
 

@@ -1,12 +1,11 @@
 //! A fast, deterministic hasher for hot fixed-width keys.
 //!
 //! The memo maps on every hot path of the workspace — curve knots
-//! (`ln pF` at `w.to_bits()`), Monte-Carlo points, quantized wafer
-//! scenarios, convolution-plan results — are keyed by one to three `u64`
-//! bit patterns. `std`'s default SipHash is DoS-resistant but costs more
-//! than the table lookup it guards; none of these maps is fed
-//! attacker-controlled keys, so a multiply–rotate mixer is both safe and
-//! several times faster.
+//! (`ln pF` at `w.to_bits()`), Monte-Carlo points, convolution-plan
+//! results — are keyed by one to three `u64` bit patterns. `std`'s
+//! default SipHash is DoS-resistant but costs more than the table lookup
+//! it guards; none of these maps is fed attacker-controlled keys, so a
+//! multiply–rotate mixer is both safe and several times faster.
 //!
 //! [`FastHasher`] is a Fibonacci-multiplicative mixer (the SplitMix64
 //! increment as the multiplier) with a rotate between words. It is
@@ -23,7 +22,7 @@
 //! assert_eq!(memo.get(&42f64.to_bits()), Some(&0.5));
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The SplitMix64 golden-ratio increment — an odd constant with good
@@ -91,12 +90,10 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 /// A `HashMap` using [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
 
-/// A `HashSet` using [`FastHasher`].
-pub type FastSet<T> = HashSet<T, FastBuild>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn hash_one<H: std::hash::Hash>(v: &H) -> u64 {
         let mut h = FastHasher::default();
@@ -115,7 +112,7 @@ mod tests {
     fn nearby_float_keys_spread() {
         // Widths on a bisection grid differ in few mantissa bits; their
         // hashes must not collide in the low bits HashMap buckets on.
-        let mut low_bits = FastSet::default();
+        let mut low_bits = HashSet::new();
         for i in 0..1000u32 {
             let w = 5.0 + f64::from(i) * 0.01;
             low_bits.insert(hash_one(&w.to_bits()) & 0xFFF);

@@ -19,11 +19,12 @@
 //! * [`seed`] — the workspace's one deterministic seed-splitting rule
 //!   (`split_seed`), shared by every parallel/streamed layer.
 //! * [`fasthash`] — a deterministic multiply–rotate hasher for the hot
-//!   memo maps (curve knots, Monte-Carlo points, wafer scenarios).
+//!   memo maps (curve knots, Monte-Carlo points, convolution plans).
 //! * [`distspec`] — declarative, seedable stochastic knobs:
 //!   [`distspec::DistSpec`] (tagged distribution specs) and
 //!   [`distspec::FieldSpec`] (wafer-scale random fields with a radial
-//!   trend and spatially correlated noise).
+//!   trend and spatially correlated noise), realized per die exactly or
+//!   through a certified tabulated enclosure ([`distspec::FieldGrid`]).
 //!
 //! ## Example
 //!
@@ -114,8 +115,8 @@ pub use dist::{
     Bernoulli, ContinuousDist, DiscreteDist, Exponential, Gaussian, LogNormal, TruncatedGaussian,
     Uniform,
 };
-pub use distspec::{DistSpec, FieldSampler, FieldSpec};
-pub use fasthash::{FastBuild, FastMap, FastSet};
+pub use distspec::{grid_coordinate, DistSpec, FieldGrid, FieldSampler, FieldSpec};
+pub use fasthash::{FastBuild, FastMap};
 pub use histogram::Histogram;
 pub use renewal::{CountDistribution, CountModel, FailureSampler, RenewalCount};
 pub use seed::{split_seed, splitmix64};

@@ -2,7 +2,7 @@
 
 use cnt_stats::dist::{ContinuousDist, DiscreteDist, TruncatedGaussian};
 use cnt_stats::renewal::{CountDistribution, CountModel, RenewalCount, StartPolicy};
-use cnt_stats::{Histogram, Summary};
+use cnt_stats::{grid_coordinate, DistSpec, FieldGrid, FieldSpec, Histogram, Summary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -234,6 +234,59 @@ proptest! {
         }
         for &w in &widths {
             assert_distribution_matches_reference(&rc, w, step)?;
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn field_grid_encloses_realize_bit_for_bit(
+        kind in 0usize..5,
+        a in -1.0f64..3.0,
+        spread in 0.01f64..1.0,
+        trend in -0.9f64..3.0,
+        noise_raw in 0.0f64..0.6,
+        log_corr in -2.99f64..5.99,
+        diameter in 1u32..4097,
+        clamped in prop::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        // noise_sd spans [0, 0.5] with both ends drawn often; the
+        // correlation length is log-uniform over [0.05, 400] die pitches.
+        let noise_sd = if noise_raw < 0.05 { 0.0 } else { noise_raw.min(0.5) };
+        let correlation_dies = log_corr.exp();
+        let dist = match kind {
+            0 => DistSpec::Fixed(a),
+            1 => DistSpec::Gaussian { mean: a, sd: spread },
+            2 => DistSpec::TruncatedGaussian { mean: a, sd: spread, lo: a - spread, hi: a + 2.0 * spread },
+            3 => DistSpec::Uniform { lo: a, hi: a + spread },
+            _ => DistSpec::LogNormal { mu: a, sigma: spread },
+        };
+        let (clamp_lo, clamp_hi) = if clamped {
+            (a - spread, a + spread)
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        let spec = FieldSpec { dist, trend, noise_sd, correlation_dies, clamp_lo, clamp_hi };
+        let sampler = spec.sampler(seed).unwrap();
+        let grid = FieldGrid::new(&sampler, diameter);
+        let (last, mid) = (diameter - 1, diameter / 2);
+        let radius = f64::from(diameter) / 2.0;
+        for (col, row) in [(0, 0), (last, 0), (0, last), (last, last), (mid, mid), (mid, 0)] {
+            let (x, y) = (grid_coordinate(diameter, col), grid_coordinate(diameter, row));
+            let r = ((x * x + y * y).sqrt() / radius).min(1.0);
+            let index = u64::from(row) * u64::from(diameter) + u64::from(col);
+            let exact = sampler.realize(index, x, y, r);
+            let (lo, hi) = grid.enclose(col, row, r);
+            prop_assert!(lo <= exact && exact <= hi,
+                "die ({}, {}) of D={}: {:.17e} outside [{:.17e}, {:.17e}]", col, row, diameter, exact, lo, hi);
+            if lo.to_bits() == hi.to_bits() {
+                prop_assert_eq!(exact.to_bits(), lo.to_bits());
+            }
+            if correlation_dies >= 1.0 {
+                prop_assert!(hi - lo <= 1e-9 * lo.abs().max(hi.abs()),
+                    "die ({}, {}) of D={} at ℓ={}: width {:e} around {:e}", col, row, diameter, correlation_dies, hi - lo, exact);
+            }
         }
     }
 }
