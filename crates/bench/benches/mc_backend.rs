@@ -52,6 +52,19 @@ fn bench_mc_vs_convolution(c: &mut Criterion) {
             },
         );
     }
+    // The same 103-nm estimate on two executor threads: the only entry
+    // that times the parallel batch path (bit-identical to one worker).
+    let precision = precision_1pct();
+    group.bench_with_input(
+        BenchmarkId::new("monte_carlo_1pct_ci_2workers", 103),
+        &103.0,
+        |b, &w| {
+            b.iter(|| {
+                estimate_fet_failure_adaptive(black_box(w), *model.pitch(), pf, &precision, 2, 7)
+                    .expect("converges")
+            })
+        },
+    );
     // The entries above time the warm per-width result memo. A fresh
     // processing corner pays the thread's whole sweep plan first: the
     // pitch kernel, the first-gap masses and the 40 001-row renewal sweep

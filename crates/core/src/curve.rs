@@ -19,9 +19,8 @@
 //! certifies the interpolant to a relative tolerance. Refinement points are
 //! fixed dyadic subdivisions of the domain, so the cached curve — and every
 //! answer it returns — is a pure function of the model, independent of query
-//! order or thread interleaving. That determinism is what lets a
-//! `SweepRunner` share one curve across worker threads without losing
-//! reproducibility.
+//! order or thread interleaving. That determinism is what lets a sweep
+//! share one curve across its threads without losing reproducibility.
 //!
 //! The [`PFailure`] trait abstracts "something that can evaluate `pF(W)`"
 //! so [`crate::wmin::WminSolver`] and the fixed-point helpers run unchanged

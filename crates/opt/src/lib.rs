@@ -61,12 +61,10 @@
 #![deny(missing_docs)]
 
 pub mod engine;
-pub mod fab;
 pub mod searcher;
 pub mod service;
 
 pub use engine::{run_co_opt, run_with_searcher, Candidate, SearchContext};
-pub use fab::{run_fab_search, FabAxis, FabCandidate, FabReport, FabSpec, FIELD_PARAMS};
 pub use searcher::{
     searcher_for, CoordinateDescent, GeneticSearcher, GridScan, HalvingLadder, Searcher,
 };

@@ -310,3 +310,35 @@ fn halving_ladder_is_free_on_analytic_backends_and_finds_the_optimum() {
     assert_eq!(search_block.rungs.last().unwrap().relax, 1.0);
     assert_eq!(search_block.rungs.last().unwrap().promoted, 0);
 }
+
+#[test]
+fn coopt_axes_accept_distribution_values() {
+    // A scenario axis may now carry distribution objects: the candidates
+    // realize per-seed draws through the stochastic knob layer.
+    let spec = CoOptSpec::parse(
+        r#"{
+            "name": "dist-axis",
+            "base": {
+                "backend": "gaussian-sum",
+                "rho": "paper",
+                "fast_design": true,
+                "correlation": "growth+aligned-layout"
+            },
+            "search": {
+                "density": [1.0, { "gaussian": { "mean": 1.0, "sd": 0.05 } }],
+                "l_cnt_um": [100, 200]
+            },
+            "searcher": "grid"
+        }"#,
+    )
+    .unwrap();
+    let report = run_co_opt(&YieldService::new(), &spec, 7, 2).unwrap();
+    assert_eq!(report.evaluations, 4);
+    // Same spec, same seed → byte-identical artifact even though half the
+    // candidates sample their density.
+    let again = run_co_opt(&YieldService::new(), &spec, 7, 1).unwrap();
+    assert_eq!(
+        report.to_json().to_string_pretty(),
+        again.to_json().to_string_pretty()
+    );
+}

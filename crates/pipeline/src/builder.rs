@@ -75,11 +75,13 @@ pub(crate) fn suggest(key: &str, candidates: &[&'static str]) -> Option<&'static
 }
 
 /// Build an [`PipelineError::UnknownKey`] with the nearest valid key by
-/// edit distance (suggested when the typo is within max(2, len/3) edits).
-/// Public so downstream front ends (the `cnfet-opt` fab search, custom
-/// spec layers) report typos with the same structure and suggestion rule
-/// as the core parsers.
-pub fn unknown_key(context: &'static str, key: &str, candidates: &[&'static str]) -> PipelineError {
+/// edit distance (suggested when the typo is within max(2, len/3) edits),
+/// so every parser reports typos with the same structure and rule.
+pub(crate) fn unknown_key(
+    context: &'static str,
+    key: &str,
+    candidates: &[&'static str],
+) -> PipelineError {
     PipelineError::UnknownKey {
         context,
         key: key.to_string(),

@@ -170,7 +170,7 @@ pub struct CacheStats {
 /// The shared evaluator behind every experiment, bench, and sweep.
 ///
 /// All getters hand out `Arc`s from interior caches, so one `Pipeline` can
-/// be borrowed concurrently by the [`crate::sweep::SweepRunner`] workers:
+/// be borrowed concurrently by a sweep's or a wafer run's threads:
 /// the expensive substrates — memoized `pF(W)` curves, mapped-design
 /// statistics, aligned libraries — are computed once per distinct key and
 /// shared from then on. The curve and design caches are **bounded** (LRU,
@@ -742,8 +742,8 @@ impl std::fmt::Debug for Pipeline {
     }
 }
 
-// Keep the compiler honest about the concurrency contract: SweepRunner
-// shares `&Pipeline` across scoped threads.
+// Keep the compiler honest about the concurrency contract: sweeps and
+// wafer runs share `&Pipeline` across threads.
 const _: fn() = || {
     fn assert_sync<T: Sync>() {}
     assert_sync::<Pipeline>();

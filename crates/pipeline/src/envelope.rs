@@ -17,6 +17,10 @@
 //!          | { "error": { "code", "message", … } }
 //! ```
 //!
+//! `workers` is optional and only changes wall-clock time. It must be an
+//! integer from 1 to [`MAX_WORKERS`]; any other value is answered
+//! `bad_request` before the request runs.
+//!
 //! The `schema` field is the versioning handle: requests carrying any
 //! version other than [`SCHEMA_VERSION`] are rejected with
 //! [`ErrorCode::UnsupportedSchema`] instead of being misinterpreted.
@@ -141,6 +145,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Default base seed when a request omits one — the repo-wide canonical
 /// seed (the paper's publication date).
 pub const DEFAULT_SEED: u64 = 20100613;
+
+/// The largest `workers` a request may ask for. A request can start about
+/// that many threads at once, so the bound is a constant rather than the
+/// core count: the same line gets the same answer on every machine.
+pub const MAX_WORKERS: usize = 64;
 
 fn bad(msg: impl Into<String>) -> PipelineError {
     PipelineError::InvalidSpec {
@@ -469,14 +478,18 @@ fn reject_unknown_keys(
     Ok(())
 }
 
-/// Optional `workers` field: a positive integer when present.
+/// Optional `workers` field: an integer in `1..=MAX_WORKERS` when present.
 fn opt_workers(payload: &Json) -> Result<Option<usize>> {
     match payload.get("workers") {
         None => Ok(None),
         Some(w) => Ok(Some(
             w.as_u64()
-                .filter(|w| *w >= 1)
-                .ok_or_else(|| bad("`workers` must be a positive integer"))? as usize,
+                .filter(|w| (1..=MAX_WORKERS as u64).contains(w))
+                .ok_or_else(|| {
+                    PipelineError::BadRequest(format!(
+                        "`workers` must be an integer from 1 to {MAX_WORKERS}"
+                    ))
+                })? as usize,
         )),
     }
 }
@@ -626,7 +639,7 @@ impl ServiceError {
     /// full display chain as the message.
     pub fn from_pipeline(e: &PipelineError) -> Self {
         let code = match e {
-            PipelineError::Parse { .. } => ErrorCode::BadRequest,
+            PipelineError::Parse { .. } | PipelineError::BadRequest(_) => ErrorCode::BadRequest,
             PipelineError::InvalidSpec { field, .. } => ErrorCode::BadSpec {
                 field: (*field).to_string(),
             },
@@ -1148,6 +1161,40 @@ mod tests {
                 YieldRequest::from_json(&Json::parse(doc).unwrap()).is_err(),
                 "{why}"
             );
+        }
+    }
+
+    #[test]
+    fn workers_above_the_limit_are_a_bad_request_that_runs_nothing() {
+        for body in ["sweep", "wafer", "co_opt"] {
+            let payload = match body {
+                "sweep" => r#""grid": { "scenarios": [ {} ] }"#,
+                "wafer" => r#""spec": { "diameter_dies": 4096, "base": {} }"#,
+                _ => r#""spec": { "base": {}, "search": { "l_cnt_um": [50, 200] } }"#,
+            };
+            let line = |workers: usize| {
+                format!(
+                    r#"{{ "schema": 1, "id": "w", "body": {{ "{body}": {{ {payload}, "workers": {workers} }} }} }}"#
+                )
+            };
+            let parse = |workers| YieldRequest::from_json(&Json::parse(&line(workers)).unwrap());
+            assert!(parse(MAX_WORKERS).is_ok(), "{body} at the limit");
+            for workers in [MAX_WORKERS + 1, 100_000] {
+                let err = parse(workers).unwrap_err();
+                assert_eq!(
+                    ServiceError::from_pipeline(&err).code,
+                    ErrorCode::BadRequest,
+                    "{body} with {workers} workers: {err}"
+                );
+                let mut responses = Vec::new();
+                dispatch_line(&line(workers), &mut |r| responses.push(r), |_, _| {
+                    panic!("an over-limit request must not be dispatched")
+                });
+                assert_eq!(responses.len(), 1);
+                assert_eq!(responses[0].id, "w");
+                assert!(matches!(&responses[0].body,
+                    ResponseBody::Error(e) if e.code == ErrorCode::BadRequest));
+            }
         }
     }
 

@@ -21,9 +21,6 @@
 //!   mapped-design statistic per `(library, size)`, and one aligned
 //!   library per `(library, grid policy)`, so every consumer shares the
 //!   `pF(W)` hot path instead of recomputing it;
-//! * [`sweep::SweepRunner`] — fans a grid across scoped threads with the
-//!   deterministic seed-splitting of `cnfet_sim::engine`, collecting one
-//!   [`report::ScenarioReport`] per scenario;
 //! * [`report`] — structured JSON artifacts for downstream tooling.
 //!
 //! ## The service layer
@@ -38,8 +35,9 @@
 //!   envelopes (`schema: 1`) with machine-readable
 //!   [`envelope::ErrorCode`]s;
 //! * [`service::SweepHandle`] — incremental sweep results in
-//!   deterministic index order, with cooperative cancellation and
-//!   progress reporting;
+//!   deterministic index order (scenario `i` under the seed
+//!   `split_seed(seed, i)` of `cnfet_sim::engine`, for any worker count),
+//!   with cooperative cancellation and progress reporting;
 //! * [`builder::ScenarioBuilder`] — the typed construction/validation
 //!   path that grid files, CLI overrides, and envelopes all share;
 //! * [`router::ShardRouter`] — N service shards behind a deterministic
@@ -48,23 +46,23 @@
 //!   results, and client-disconnect cancellation — the concurrent back
 //!   end of `repro serve --shards N`.
 //!
-//! [`engine::Pipeline::evaluate`] and [`sweep::SweepRunner`] remain as
-//! thin compatibility shims; new code should go through the service.
+//! [`engine::Pipeline::evaluate`] is the evaluation path underneath the
+//! service: [`service::YieldService::evaluate`] and the wafer engine call
+//! it, and sweeps call it with their share of the Monte-Carlo threads.
 //!
 //! ## Example
 //!
 //! ```
-//! use cnfet_pipeline::{Pipeline, ScenarioGrid, SweepRunner};
+//! use cnfet_pipeline::{ScenarioGrid, YieldService};
 //!
 //! # fn main() -> cnfet_pipeline::Result<()> {
 //! let grid = ScenarioGrid::parse(r#"{
 //!     "defaults": { "backend": "gaussian-sum", "rho": "paper", "fast_design": true },
 //!     "axes": { "correlation": ["none", "growth+aligned-layout"] }
 //! }"#)?;
-//! let pipeline = Pipeline::new();
-//! let reports = SweepRunner::new(&pipeline)
-//!     .run(&grid.scenarios, 20100613)
-//!     .into_iter()
+//! let reports = YieldService::new()
+//!     .sweep(grid.scenarios, 20100613)
+//!     .map(|item| item.report)
 //!     .collect::<cnfet_pipeline::Result<Vec<_>>>()?;
 //! // Correlation shrinks the upsizing threshold (155 nm → 103 nm in the paper).
 //! assert!(reports[1].w_min_nm < reports[0].w_min_nm - 30.0);
@@ -85,7 +83,6 @@ pub mod report;
 pub mod router;
 pub mod service;
 pub mod spec;
-pub mod sweep;
 pub mod wafer;
 
 use std::error::Error;
@@ -118,6 +115,8 @@ pub enum PipelineError {
         /// The closest valid key, when the typo is recoverable.
         suggestion: Option<String>,
     },
+    /// A malformed request envelope, answered `bad_request` on the wire.
+    BadRequest(String),
     /// Underlying yield-model error.
     Core(cnfet_core::CoreError),
     /// Underlying netlist/mapping error.
@@ -146,6 +145,7 @@ impl fmt::Display for PipelineError {
                 }
                 Ok(())
             }
+            PipelineError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             PipelineError::Core(e) => write!(f, "yield-model error: {e}"),
             PipelineError::Netlist(e) => write!(f, "netlist error: {e}"),
             PipelineError::Layout(e) => write!(f, "layout error: {e}"),
@@ -202,7 +202,7 @@ pub use design::DesignStats;
 pub use engine::{CacheConfig, CacheStats, Pipeline, Table1Anchor};
 pub use envelope::{
     ErrorCode, RequestBody, ResponseBody, ServiceError, ServiceInfo, YieldRequest, YieldResponse,
-    DEFAULT_SEED, SCHEMA_VERSION,
+    DEFAULT_SEED, MAX_WORKERS, SCHEMA_VERSION,
 };
 pub use json::Json;
 pub use knob::{dist_from_json, dist_to_json, field_from_json, field_to_json, STOCHASTIC_KNOBS};
@@ -218,7 +218,6 @@ pub use spec::{
     mc_backend_defaults, redundancy_from_json, redundancy_to_json, BackendSpec, CornerSpec,
     CorrelationSpec, LibrarySpec, MminSpec, PuritySpec, RhoSpec, ScenarioGrid, ScenarioSpec,
 };
-pub use sweep::SweepRunner;
 pub use wafer::{RadialBand, WaferEngine, WaferReport, WaferSpec};
 
 #[cfg(test)]

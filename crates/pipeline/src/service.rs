@@ -29,8 +29,7 @@ use crate::report::ScenarioReport;
 use crate::spec::ScenarioSpec;
 use crate::wafer::{WaferEngine, WaferReport, WaferSpec};
 use crate::Result;
-use cnt_stats::seed::split_seed;
-use std::collections::BTreeMap;
+use cnfet_sim::engine::{ordered, split_seed};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -126,8 +125,7 @@ impl YieldService {
     }
 
     /// Start a streaming sweep with the service's default worker count.
-    /// Scenario `i` evaluates under `split_seed(seed, i)` — the same
-    /// contract as the legacy `SweepRunner`.
+    /// Scenario `i` evaluates under `split_seed(seed, i)`.
     pub fn sweep(&self, specs: Vec<ScenarioSpec>, seed: u64) -> SweepHandle {
         self.sweep_with_workers(specs, seed, self.inner.config.sweep_workers)
     }
@@ -376,21 +374,21 @@ pub struct SweepItem {
 /// A handle to an in-flight sweep: an iterator of [`SweepItem`]s in
 /// strict index order, plus cooperative cancellation and progress.
 ///
-/// Workers claim scenario indices from a shared counter and evaluate out
-/// of order; the handle reorders on delivery, so `next()` blocks until
-/// the next index is available. After [`SweepHandle::cancel`], workers
-/// stop claiming new scenarios (in-flight ones finish) and the stream
-/// ends at the first undelivered index. Dropping the handle cancels and
-/// joins the workers.
+/// One streaming thread runs the scenarios on the [`ordered`] executor
+/// with `workers` threads in all, itself included, and the executor sends
+/// each report on in index order, so `next()` blocks until the next index
+/// is available. After [`SweepHandle::cancel`], no new scenario starts
+/// evaluating (in-flight ones finish) and the stream ends at the first
+/// index that did not run. A scenario that panics ends the stream just
+/// before its index. Dropping the handle cancels and joins the streaming
+/// thread.
 pub struct SweepHandle {
     total: usize,
-    next_index: usize,
     delivered: usize,
-    pending: BTreeMap<usize, Result<ScenarioReport>>,
-    rx: mpsc::Receiver<(usize, Result<ScenarioReport>)>,
+    rx: mpsc::Receiver<SweepItem>,
     cancel: Arc<AtomicBool>,
     completed: Arc<AtomicUsize>,
-    workers: Vec<JoinHandle<()>>,
+    streamer: Option<JoinHandle<()>>,
 }
 
 impl SweepHandle {
@@ -400,53 +398,56 @@ impl SweepHandle {
         seed: u64,
         workers: usize,
     ) -> Self {
-        let total = specs.len();
-        let specs = Arc::new(specs);
+        let workers = workers.max(1).min(specs.len().max(1));
+        let mc_workers = sweep_mc_workers(workers);
+        Self::stream(specs, workers, move |index, spec| {
+            inner.pipeline.evaluate_with_mc_workers(
+                &spec,
+                split_seed(seed, index as u64),
+                mc_workers,
+            )
+        })
+    }
+
+    /// Stream `evaluate(index, item)` over `items` on `workers` threads.
+    fn stream<T: Send + 'static>(
+        items: Vec<T>,
+        workers: usize,
+        evaluate: impl Fn(usize, T) -> Result<ScenarioReport> + Send + Sync + 'static,
+    ) -> Self {
+        let total = items.len();
         let cancel = Arc::new(AtomicBool::new(false));
         let completed = Arc::new(AtomicUsize::new(0));
-        let claim = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
-        let workers = workers.max(1).min(total.max(1));
-        let mc_workers = sweep_mc_workers(workers);
-        let handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                let specs = Arc::clone(&specs);
-                let cancel = Arc::clone(&cancel);
-                let completed = Arc::clone(&completed);
-                let claim = Arc::clone(&claim);
-                let tx = tx.clone();
-                std::thread::spawn(move || loop {
-                    if cancel.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let i = claim.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        return;
-                    }
-                    let report = inner.pipeline.evaluate_with_mc_workers(
-                        &specs[i],
-                        split_seed(seed, i as u64),
-                        mc_workers,
-                    );
-                    completed.fetch_add(1, Ordering::Release);
-                    // The consumer may have dropped the handle mid-stream;
-                    // a closed channel just means nobody wants the rest.
-                    if tx.send((i, report)).is_err() {
-                        return;
-                    }
-                })
+        let streamer = {
+            let (cancel, completed) = (Arc::clone(&cancel), Arc::clone(&completed));
+            std::thread::spawn(move || {
+                // Scenarios differ in cost, so no thread waits for a slow one.
+                ordered(
+                    items.into_iter().enumerate(),
+                    workers,
+                    usize::MAX,
+                    |(index, item)| {
+                        if cancel.load(Ordering::Acquire) {
+                            return None;
+                        }
+                        let report = evaluate(index, item);
+                        completed.fetch_add(1, Ordering::Release);
+                        Some(SweepItem { index, report })
+                    },
+                    // Stop at the first scenario claimed after `cancel`, or
+                    // once the consumer is gone.
+                    |item| item.is_some_and(|item| tx.send(item).is_ok()),
+                );
             })
-            .collect();
+        };
         Self {
             total,
-            next_index: 0,
             delivered: 0,
-            pending: BTreeMap::new(),
             rx,
             cancel,
             completed,
-            workers: handles,
+            streamer: Some(streamer),
         }
     }
 
@@ -455,9 +456,9 @@ impl SweepHandle {
         self.total
     }
 
-    /// Ask the workers to stop after their in-flight scenarios. Items
-    /// already evaluated and contiguous with the delivered prefix still
-    /// stream out; the iterator then ends.
+    /// Ask the sweep to stop after its in-flight scenarios. Items already
+    /// evaluated and contiguous with the delivered prefix still stream
+    /// out; the iterator then ends.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Release);
     }
@@ -475,23 +476,14 @@ impl SweepHandle {
     /// the sweep is exhausted or cancellation truncated the stream.
     #[allow(clippy::should_implement_trait)] // Iterator::next is the forwarding impl below
     pub fn next(&mut self) -> Option<SweepItem> {
-        while self.next_index < self.total {
-            if let Some(report) = self.pending.remove(&self.next_index) {
-                let index = self.next_index;
-                self.next_index += 1;
-                self.delivered += 1;
-                return Some(SweepItem { index, report });
-            }
-            match self.rx.recv() {
-                Ok((i, report)) => {
-                    self.pending.insert(i, report);
-                }
-                // Workers are gone (finished or cancelled). Whatever is
-                // buffered beyond a gap can never be delivered in order.
-                Err(mpsc::RecvError) => return None,
-            }
+        // The last report ends the stream without waiting for the
+        // streaming thread to exit; `Drop` joins it.
+        if self.delivered == self.total {
+            return None;
         }
-        None
+        let item = self.rx.recv().ok()?;
+        self.delivered += 1;
+        Some(item)
     }
 }
 
@@ -506,10 +498,9 @@ impl Iterator for SweepHandle {
 impl Drop for SweepHandle {
     fn drop(&mut self) {
         self.cancel();
-        // Unblock senders by draining, then join.
-        while self.rx.try_recv().is_ok() {}
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // A panicked sweep already ended the stream; nothing to report here.
+        if let Some(streamer) = self.streamer.take() {
+            let _ = streamer.join();
         }
     }
 }
@@ -586,5 +577,35 @@ mod tests {
         assert!(responses.iter().all(YieldResponse::is_error));
         assert_eq!(responses[0].id, "", "unparseable line has no id");
         assert_eq!(responses[1].id, "bad-1", "id recovered from bad envelope");
+    }
+
+    #[test]
+    fn a_panicking_scenario_ends_the_stream_after_every_earlier_report() {
+        /// Sends once its scenario's panic unwinds through it.
+        struct Unwinding(mpsc::Sender<()>);
+        impl Drop for Unwinding {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let report = YieldService::new().evaluate(&fast_spec("ok"), 1).unwrap();
+        // Scenario 0, on the other thread, returns only once scenario 1 is
+        // panicking: 0 must stream, and nothing past the gap.
+        let (unwinding, panicked) = mpsc::channel();
+        let panicked = std::sync::Mutex::new(panicked);
+        let mut handle = SweepHandle::stream(vec![(); 4], 2, move |index, ()| {
+            match index {
+                0 => panicked.lock().unwrap().recv().unwrap(),
+                1 => {
+                    let _signal = Unwinding(unwinding.clone());
+                    panic!("scenario 1 panics");
+                }
+                _ => {}
+            }
+            Ok(report.clone())
+        });
+        let indices: Vec<usize> = handle.by_ref().map(|item| item.index).collect();
+        assert_eq!(indices, [0]);
+        assert_eq!(handle.progress().delivered, 1);
     }
 }

@@ -871,25 +871,6 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Apply one named field from a JSON value.
-    ///
-    /// **Deprecated shim**: this now forwards to
-    /// [`crate::builder::ScenarioBuilder::set_json`], the single
-    /// validation path shared by grid files, the CLI, and the service
-    /// envelopes. New code should use the builder directly.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::UnknownKey`] for unknown fields (with a
-    /// nearest-key suggestion), [`PipelineError::InvalidSpec`] for wrong
-    /// types.
-    pub fn apply(&mut self, key: &str, value: &Json) -> Result<()> {
-        let updated =
-            crate::builder::ScenarioBuilder::from_spec(self.clone()).set_json(key, value)?;
-        *self = updated.build_unchecked();
-        Ok(())
-    }
-
     /// Build a spec from a JSON object, starting from [`Self::baseline`].
     ///
     /// # Errors

@@ -45,6 +45,7 @@ use cnfet_core::paper;
 use cnfet_core::rowmodel::RowModel;
 use cnfet_fault::{short_probability, McFallback, PurityMode, RedundancyScheme};
 use cnfet_sim::adaptive::McPrecision;
+use cnfet_sim::engine::ordered;
 use cnt_stats::seed::split_seed;
 use cnt_stats::{grid_coordinate, DistSpec, FieldGrid, FieldSampler, FieldSpec};
 use std::path::{Path, PathBuf};
@@ -679,17 +680,23 @@ impl WaferRun {
         let parts = entries
             .chunks_mut(part_len)
             .zip(dies.chunks(part_len))
-            .enumerate()
-            .collect();
-        map_parts(parts, |(p, (entries, dies))| {
-            for (k, (entry, die)) in entries.iter_mut().zip(dies).enumerate() {
-                let knobs: [f64; 4] = std::array::from_fn(|i| match &fields[i] {
-                    Some(field) => snapped_knob(i, field, die),
-                    None => central[i],
-                });
-                *entry = (knobs.map(f64::to_bits), (p * part_len + k) as u32);
-            }
-        });
+            .enumerate();
+        let threads = parts.len();
+        ordered(
+            parts,
+            threads,
+            usize::MAX,
+            |(p, (entries, dies))| {
+                for (k, (entry, die)) in entries.iter_mut().zip(dies).enumerate() {
+                    let knobs: [f64; 4] = std::array::from_fn(|i| match &fields[i] {
+                        Some(field) => snapped_knob(i, field, die),
+                        None => central[i],
+                    });
+                    *entry = (knobs.map(f64::to_bits), (p * part_len + k) as u32);
+                }
+            },
+            |()| true,
+        );
         entries
     }
 
@@ -714,7 +721,7 @@ impl WaferRun {
             cuts.push(cut);
         }
         cuts.push(n);
-        let ranges = cuts
+        let ranges: Vec<_> = cuts
             .windows(2)
             .filter(|w| w[0] < w[1])
             .map(|w| &entries[w[0]..w[1]])
@@ -722,36 +729,42 @@ impl WaferRun {
         // Each die's slot is stored once. `Relaxed` suffices: the scoped
         // threads are joined before any slot is read.
         let yields: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let outcomes = map_parts(ranges, |range| {
-            let mut distinct = 0_u64;
-            let mut failure: Option<(u32, PipelineError)> = None;
-            for group in range.chunk_by(|a, b| a.0 == b.0) {
-                distinct += 1;
-                let first_die = group[0].1;
-                if failure.as_ref().is_some_and(|(die, _)| *die < first_die) {
-                    continue;
-                }
-                match self.die_yield(group[0].0.map(f64::from_bits)) {
-                    Ok(y) => {
-                        for &(_, die) in group {
-                            yields[die as usize].store(y.to_bits(), Ordering::Relaxed);
-                        }
-                    }
-                    Err(e) => failure = Some((first_die, e)),
-                }
-            }
-            (distinct, failure)
-        });
         let mut distinct = 0;
         let mut failure: Option<(u32, PipelineError)> = None;
-        for (count, range_failure) in outcomes {
-            distinct += count;
-            if let Some((die, e)) = range_failure {
-                if failure.as_ref().is_none_or(|(first, _)| die < *first) {
-                    failure = Some((die, e));
+        ordered(
+            ranges,
+            parts,
+            usize::MAX,
+            |range| {
+                let mut distinct = 0_u64;
+                let mut failure: Option<(u32, PipelineError)> = None;
+                for group in range.chunk_by(|a, b| a.0 == b.0) {
+                    distinct += 1;
+                    let first_die = group[0].1;
+                    if failure.as_ref().is_some_and(|(die, _)| *die < first_die) {
+                        continue;
+                    }
+                    match self.die_yield(group[0].0.map(f64::from_bits)) {
+                        Ok(y) => {
+                            for &(_, die) in group {
+                                yields[die as usize].store(y.to_bits(), Ordering::Relaxed);
+                            }
+                        }
+                        Err(e) => failure = Some((first_die, e)),
+                    }
                 }
-            }
-        }
+                (distinct, failure)
+            },
+            |(count, range_failure)| {
+                distinct += count;
+                if let Some((die, e)) = range_failure {
+                    if failure.as_ref().is_none_or(|(first, _)| die < *first) {
+                        failure = Some((die, e));
+                    }
+                }
+                true
+            },
+        );
         match failure {
             Some((_, e)) => Err(e),
             None => Ok((yields, distinct)),
@@ -818,33 +831,11 @@ fn snapped_knob(knob: usize, grid: &FieldGrid, die: &Die) -> f64 {
     }
 }
 
-/// Map `job` over `parts`: the first part on the calling thread, each
-/// other part on its own scoped thread. Results come back in part order.
-///
-/// # Panics
-///
-/// Propagates a panic from `job`.
-fn map_parts<P: Send, R: Send>(parts: Vec<P>, job: impl Fn(P) -> R + Sync) -> Vec<R> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Vec::new();
-    };
-    let job = &job;
-    std::thread::scope(|scope| {
-        let rest: Vec<_> = parts.map(|p| scope.spawn(move || job(p))).collect();
-        let mut out = vec![job(first)];
-        out.extend(
-            rest.into_iter()
-                .map(|h| h.join().expect("wafer worker panicked")),
-        );
-        out
-    })
-}
-
 /// The wafer evaluator over a shared [`Pipeline`].
 ///
-/// A run has three phases, each split into at most `workers` parts (one
-/// per thread, the first on the calling thread) with no lock or memo:
+/// A run has three phases, each split into at most `workers` parts run on
+/// the [`ordered`] executor (one thread per part, the first the calling
+/// thread) with no memo:
 ///
 /// 1. every die's quantized knob tuple is realized into one
 ///    `(key, die)` vector, filled in place over fixed 1024-die chunks;
@@ -967,8 +958,11 @@ impl<'a> WaferEngine<'a> {
 
         // Aggregate per chunk, merged in chunk order — the determinism
         // barrier.
-        let aggs = map_parts(
-            dies.chunks(part_len).zip(yields.chunks(part_len)).collect(),
+        let mut total = ChunkAgg::new();
+        ordered(
+            dies.chunks(part_len).zip(yields.chunks(part_len)),
+            parts,
+            usize::MAX,
             |(dies, yields)| {
                 dies.chunks(CHUNK_DIES)
                     .zip(yields.chunks(CHUNK_DIES))
@@ -981,11 +975,11 @@ impl<'a> WaferEngine<'a> {
                     })
                     .collect::<Vec<_>>()
             },
+            |aggs| {
+                aggs.iter().for_each(|agg| total.merge(agg));
+                true
+            },
         );
-        let mut total = ChunkAgg::new();
-        for agg in aggs.iter().flatten() {
-            total.merge(agg);
-        }
         Ok(run.report(spec, dies.len(), &total, distinct))
     }
 }

@@ -2,8 +2,9 @@
 //! in-order streaming, cancellation, and bounded caches under stress.
 
 use cnfet_pipeline::{
-    BackendSpec, CacheConfig, CornerSpec, Pipeline, RequestBody, ResponseBody, ScenarioGrid,
-    ScenarioSpec, ServiceConfig, YieldRequest, YieldResponse, YieldService,
+    BackendSpec, CacheConfig, CornerSpec, CorrelationSpec, Pipeline, RequestBody, ResponseBody,
+    ScenarioGrid, ScenarioReport, ScenarioSpec, ServiceConfig, YieldRequest, YieldResponse,
+    YieldService,
 };
 
 fn fast_spec(name: &str) -> ScenarioSpec {
@@ -267,4 +268,70 @@ fn wire_session_round_trips_every_kind() {
     .unwrap();
     assert_eq!(again.body, requests[0].body);
     assert!(matches!(again.body, RequestBody::Evaluate { seed: 3, .. }));
+}
+
+/// Every report of a sweep, in index order.
+fn sweep_reports(
+    specs: Vec<ScenarioSpec>,
+    seed: u64,
+    workers: usize,
+) -> Vec<cnfet_pipeline::Result<ScenarioReport>> {
+    YieldService::new()
+        .sweep_with_workers(specs, seed, workers)
+        .map(|item| item.report)
+        .collect()
+}
+
+#[test]
+fn monte_carlo_backend_sweeps_are_worker_independent() {
+    // The acceptance contract of the MC back-end: a sweep over
+    // stochastic scenarios is bit-identical for --workers 1 vs
+    // --workers 8 at a fixed seed, including trial counts and CI
+    // bounds. One sweep worker gives each scenario every MC thread,
+    // eight give each a single one.
+    let grid = ScenarioGrid::parse(
+        r#"{
+            "name": "mc",
+            "defaults": {
+                "backend": { "monte-carlo": { "rel_ci": 0.15, "max_trials": 100000, "batch": 1000 } },
+                "rho": "paper",
+                "fast_design": true
+            },
+            "axes": { "correlation": ["none", "growth+aligned-layout"] }
+        }"#,
+    )
+    .unwrap();
+    let one = sweep_reports(grid.scenarios.clone(), 7, 1);
+    let many = sweep_reports(grid.scenarios, 7, 8);
+    for (a, b) in one.iter().zip(many.iter()) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(a, b, "MC scenario reports must be worker-independent");
+        let mc = a.mc.as_ref().expect("mc provenance present");
+        assert!(mc.trials > 0 && mc.ci_lo <= a.p_at_w_min && a.p_at_w_min <= mc.ci_hi);
+    }
+    // Correlation must still shrink W_min under the stochastic backend.
+    let plain = one[0].as_ref().unwrap();
+    let corr = one[1].as_ref().unwrap();
+    assert!(corr.w_min_nm < plain.w_min_nm - 30.0);
+}
+
+#[test]
+fn empty_sweep_is_empty() {
+    let mut handle = YieldService::new().sweep_with_workers(Vec::new(), 0, 4);
+    assert_eq!(handle.total(), 0);
+    assert!(handle.next().is_none());
+}
+
+#[test]
+fn correlated_scenarios_beat_uncorrelated_at_every_node() {
+    let grid = ScenarioGrid::parse(fast_grid_doc()).unwrap();
+    let results = sweep_reports(grid.scenarios, 5, 4);
+    // Grid order: (45, none), (45, corr), (32, none), (32, corr), ...
+    for pair in results.chunks(2) {
+        let plain = pair[0].as_ref().unwrap();
+        let corr = pair[1].as_ref().unwrap();
+        assert_eq!(plain.correlation, CorrelationSpec::None.name());
+        assert!(corr.w_min_nm < plain.w_min_nm);
+        assert!(corr.upsizing_penalty <= plain.upsizing_penalty);
+    }
 }

@@ -7,16 +7,13 @@
 //! Trials are organized into fixed-size **batches**; batch `k` always runs
 //! on an RNG seeded with [`split_seed`]`(seed, k)`, batches are merged in
 //! index order, and the stopping rule is evaluated after *every* committed
-//! batch — exactly as a serial run would. Worker threads only execute
-//! batches speculatively (a wave of up to `workers` batches at a time;
-//! batches past the stopping point are discarded), so the outcome is
-//! **bit-identical for any worker count**. This extends the
-//! [`run_parallel`](crate::engine::run_parallel) guarantee (reproducible
-//! for a fixed `(seed, workers)` pair) to full worker independence, which
-//! is what lets the scenario pipeline treat a Monte-Carlo back-end like an
-//! analytic one.
+//! batch — exactly as a serial run would. Batches run on the
+//! [`ordered`] executor, whose threads only run ahead speculatively
+//! (batches past the stopping point are discarded), so the outcome is
+//! **bit-identical for any worker count**, which is what lets the scenario
+//! pipeline treat a Monte-Carlo back-end like an analytic one.
 
-use crate::engine::split_seed;
+use crate::engine::{ordered, split_seed};
 use crate::{Result, SimError};
 use cnt_stats::ci::{mean_ci, ConfidenceInterval};
 use cnt_stats::Summary;
@@ -145,17 +142,15 @@ where
 
 /// Batch-fill variant of [`run_adaptive_affine`]: instead of one `job`
 /// callback per trial, `fill` receives the batch's RNG and a sample buffer
-/// of `precision.batch` slots to fill in order — one buffer per in-flight
-/// batch, reused across the run, so the hot loop does no per-trial calls
-/// through a function-pointer boundary and no allocation.
+/// of `precision.batch` slots to fill in order, so the hot loop does no
+/// per-trial calls through a function-pointer boundary.
 ///
 /// The determinism contract is unchanged and the outcome is bit-identical
 /// to [`run_adaptive_affine`] with the equivalent scalar `job`: batch `k`
 /// still runs on `split_seed(seed, k)`, `fill` must consume the RNG stream
 /// exactly as the scalar loop would, per-batch summaries accumulate the
 /// buffer in index order, and commits/stopping are evaluated identically.
-/// With `workers == 1` the speculative thread scope is bypassed entirely
-/// (same commit sequence, no spawn overhead).
+/// A run spawns at most `workers − 1` threads, once.
 ///
 /// # Errors
 ///
@@ -189,11 +184,12 @@ where
         .div_ceil(u64::from(batch))
         .min(u64::from(u32::MAX)) as u32;
 
-    let run_batch = |index: u32, buf: &mut [f64]| -> Summary {
+    let run_batch = |index: u32| -> Summary {
         let mut rng = StdRng::seed_from_u64(split_seed(seed, u64::from(index)));
-        fill(&mut rng, buf);
+        let mut buf = vec![0.0_f64; batch as usize];
+        fill(&mut rng, &mut buf);
         let mut acc = Summary::new();
-        for &v in buf.iter() {
+        for &v in &buf {
             acc.add(v);
         }
         acc
@@ -208,61 +204,32 @@ where
             level: ci.level,
         })
     };
-    let stop = |ci: &ConfidenceInterval| -> bool {
-        ci.half_width() <= ABS_HALF_WIDTH_FLOOR || ci.relative_half_width() <= precision.rel_ci
-    };
 
+    // Commit in index order, checking the stopping rule after every batch:
+    // the same decision sequence for any worker count. Most runs stop
+    // within a few batches of equal cost, so claims stay within one batch
+    // per extra thread of the commit point, and a stop drops at most that.
     let mut merged = Summary::new();
     let mut committed = 0u32;
     let mut converged = false;
-    if workers == 1 {
-        // Serial fast path: no speculative waves to discard, so skip the
-        // thread scope and reuse one sample buffer for the whole run.
-        let mut buf = vec![0.0_f64; batch as usize];
-        while committed < max_batches {
-            let s = run_batch(committed, &mut buf);
-            merged.merge(&s);
-            committed += 1;
-            if stop(&affine_ci(&merged)?) {
-                converged = true;
-                break;
+    let mut failure = None;
+    ordered(0..max_batches, workers, workers - 1, run_batch, |s| {
+        merged.merge(&s);
+        committed += 1;
+        match affine_ci(&merged) {
+            Ok(ci) => {
+                converged = ci.half_width() <= ABS_HALF_WIDTH_FLOOR
+                    || ci.relative_half_width() <= precision.rel_ci;
+                !converged
+            }
+            Err(e) => {
+                failure = Some(e);
+                false
             }
         }
-    } else {
-        // One reusable sample buffer per worker slot, swapped into the wave.
-        let mut buffers: Vec<Vec<f64>> = (0..workers)
-            .map(|_| vec![0.0_f64; batch as usize])
-            .collect();
-        'outer: while committed < max_batches {
-            let wave = workers.min((max_batches - committed) as usize);
-            let mut speculative: Vec<Summary> = Vec::with_capacity(wave);
-            std::thread::scope(|scope| {
-                let run_batch = &run_batch;
-                let handles: Vec<_> = buffers
-                    .iter_mut()
-                    .take(wave)
-                    .enumerate()
-                    .map(|(j, buf)| {
-                        let index = committed + j as u32;
-                        scope.spawn(move || run_batch(index, buf))
-                    })
-                    .collect();
-                for h in handles {
-                    speculative.push(h.join().expect("adaptive MC batch panicked"));
-                }
-            });
-            // Commit in index order, re-checking the stopping rule after
-            // every batch — the same decision sequence a one-worker run
-            // makes.
-            for s in speculative {
-                merged.merge(&s);
-                committed += 1;
-                if stop(&affine_ci(&merged)?) {
-                    converged = true;
-                    break 'outer;
-                }
-            }
-        }
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let ci = affine_ci(&merged)?;

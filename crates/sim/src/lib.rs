@@ -1,8 +1,8 @@
 //! # cnfet-sim
 //!
 //! Monte-Carlo engine for CNFET yield: conditional (Rao-Blackwellised)
-//! estimators, an exact run-DP row-failure evaluator, and parallel
-//! execution.
+//! estimators, an exact run-DP row-failure evaluator, and the workspace's
+//! deterministic parallel executor ([`engine::ordered`]).
 //!
 //! ## Why conditional Monte Carlo
 //!
@@ -103,5 +103,5 @@ pub use adaptive::{run_adaptive, run_adaptive_affine, McOutcome, McPrecision};
 pub use condmc::{
     estimate_fet_failure, estimate_fet_failure_adaptive, estimate_row_failure, RowScenario,
 };
-pub use engine::run_parallel;
+pub use engine::ordered;
 pub use rundp::{row_failure_probability, row_failure_probability_weighted};

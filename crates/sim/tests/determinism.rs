@@ -3,10 +3,9 @@
 //! never consult an ambient entropy source.
 
 use cnfet_sim::condmc::{estimate_fet_failure, estimate_row_failure, RowScenario};
-use cnfet_sim::engine::run_parallel;
 use cnt_stats::TruncatedGaussian;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn pitch() -> TruncatedGaussian {
     TruncatedGaussian::positive_with_moments(4.0, 3.28).unwrap()
@@ -37,13 +36,4 @@ fn row_failure_same_seed_same_estimate() {
     let b = estimate_row_failure(&scenario, 2_000, &mut StdRng::seed_from_u64(5)).unwrap();
     assert_eq!(a.probability, b.probability);
     assert_eq!(a.ci95, b.ci95);
-}
-
-#[test]
-fn parallel_engine_is_deterministic_per_seed_and_worker_count() {
-    let job = |rng: &mut StdRng| rng.gen::<f64>();
-    let a = run_parallel(50_000, 4, 17, job);
-    let b = run_parallel(50_000, 4, 17, job);
-    assert_eq!(a.mean(), b.mean());
-    assert_eq!(a.variance(), b.variance());
 }
