@@ -13,7 +13,7 @@
 //! suggests `yield_target` — so the error is machine-actionable all the
 //! way up through the service envelope layer.
 
-use crate::json::Json;
+use crate::json::{unknown_key, Json, Obj, Owner, Tagged};
 use crate::spec::{
     redundancy_from_json, BackendSpec, CornerSpec, CorrelationSpec, LibrarySpec, MminSpec,
     PuritySpec, RhoSpec, ScenarioSpec,
@@ -44,50 +44,6 @@ pub const SCENARIO_KEYS: [&str; 17] = [
     "fast_design",
     "mc_trials",
 ];
-
-/// Levenshtein edit distance (iterative two-row form).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let subst = prev[j] + usize::from(ca != cb);
-            curr[j + 1] = subst.min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
-/// The closest candidate to `key` by edit distance, if it is close enough
-/// to plausibly be a typo (distance ≤ max(2, len/3), ties broken by
-/// candidate order).
-pub(crate) fn suggest(key: &str, candidates: &[&'static str]) -> Option<&'static str> {
-    let budget = (key.chars().count() / 3).max(2);
-    candidates
-        .iter()
-        .map(|c| (edit_distance(key, c), *c))
-        .min_by_key(|(d, _)| *d)
-        .filter(|(d, _)| *d <= budget)
-        .map(|(_, c)| c)
-}
-
-/// Build an [`PipelineError::UnknownKey`] with the nearest valid key by
-/// edit distance (suggested when the typo is within max(2, len/3) edits),
-/// so every parser reports typos with the same structure and rule.
-pub(crate) fn unknown_key(
-    context: &'static str,
-    key: &str,
-    candidates: &[&'static str],
-) -> PipelineError {
-    PipelineError::UnknownKey {
-        context,
-        key: key.to_string(),
-        suggestion: suggest(key, candidates).map(str::to_string),
-    }
-}
 
 /// A typed, validating builder over [`ScenarioSpec`].
 ///
@@ -241,77 +197,75 @@ impl ScenarioBuilder {
     /// [`PipelineError::UnknownKey`] (with a nearest-key suggestion) for
     /// unknown field names, [`PipelineError::InvalidSpec`] for wrong
     /// types.
-    pub fn set_json(mut self, key: &str, value: &Json) -> Result<Self> {
+    pub fn set_json(self, key: &str, value: &Json) -> Result<Self> {
+        // Each scenario key owns its value: errors name the key itself.
+        const SCENARIO: Owner = Owner::Doc("scenario");
         let invalid = |field: &'static str, msg: &str| PipelineError::InvalidSpec {
             field,
             msg: msg.into(),
         };
-        let num = |field: &'static str| -> Result<f64> {
-            value
-                .as_f64()
-                .ok_or_else(|| invalid(field, "must be a number"))
-        };
-        match key {
-            "name" => {
-                self.spec.name = value
-                    .as_str()
-                    .ok_or_else(|| invalid("name", "must be a string"))?
-                    .to_string();
-                Ok(self)
-            }
-            "corner" => Ok(self.corner(CornerSpec::from_json(value)?)),
-            "correlation" => Ok(self.correlation(CorrelationSpec::from_json(value)?)),
-            "library" => Ok(self.library(LibrarySpec::from_json(value)?)),
-            "node_nm" => {
-                let v = num("node_nm")?;
-                Ok(self.node_nm(v))
-            }
-            "yield_target" => {
-                let v = num("yield_target")?;
-                Ok(self.yield_target(v))
-            }
-            "backend" => Ok(self.backend(BackendSpec::from_json(value)?)),
-            "m_transistors" => {
-                let v = num("m_transistors")?;
-                Ok(self.m_transistors(v))
-            }
+        Ok(match key {
+            "name" => self.name(SCENARIO.str("name", value)?),
+            "corner" => self.corner(CornerSpec::from_json(value)?),
+            "correlation" => self.correlation(CorrelationSpec::from_json(value)?),
+            "library" => self.library(LibrarySpec::from_json(value)?),
+            "node_nm" => self.node_nm(SCENARIO.num("node_nm", value)?),
+            "yield_target" => self.yield_target(SCENARIO.num("yield_target", value)?),
+            "backend" => self.backend(BackendSpec::from_json(value)?),
+            "m_transistors" => self.m_transistors(SCENARIO.num("m_transistors", value)?),
             "m_min" => match value {
-                Json::Str(s) if s == "self-consistent" => Ok(self.m_min(MminSpec::SelfConsistent)),
-                Json::Num(_) | Json::Obj(_) => {
-                    let d = crate::knob::dist_from_json("m_min", value)?;
-                    Ok(self.m_min(MminSpec::Fraction(d)))
-                }
-                _ => Err(invalid(
-                    "m_min",
-                    "must be a fraction, a distribution object, or \"self-consistent\"",
+                Json::Str(s) if s == "self-consistent" => self.m_min(MminSpec::SelfConsistent),
+                Json::Num(_) | Json::Obj(_) => self.m_min(MminSpec::Fraction(
+                    crate::knob::dist_from_json("m_min", value)?,
                 )),
+                _ => {
+                    return Err(invalid(
+                        "m_min",
+                        "must be a fraction, a distribution object, or \"self-consistent\"",
+                    ))
+                }
             },
             "rho" => match value.as_str() {
-                Some("paper") => Ok(self.rho(RhoSpec::Paper)),
-                Some("measured") => Ok(self.rho(RhoSpec::Measured)),
-                _ => Err(invalid("rho", "must be \"paper\" or \"measured\"")),
+                Some("paper") => self.rho(RhoSpec::Paper),
+                Some("measured") => self.rho(RhoSpec::Measured),
+                _ => return Err(invalid("rho", "must be \"paper\" or \"measured\"")),
             },
-            "density" => Ok(self.density(crate::knob::dist_from_json("density", value)?)),
-            "l_cnt_um" => Ok(self.l_cnt_um_dist(crate::knob::dist_from_json("l_cnt_um", value)?)),
-            "purity" => Ok(self.purity(PuritySpec::from_json(value)?)),
-            "redundancy" => Ok(self.redundancy(redundancy_from_json(value)?)),
+            "density" => self.density(crate::knob::dist_from_json("density", value)?),
+            "l_cnt_um" => self.l_cnt_um_dist(crate::knob::dist_from_json("l_cnt_um", value)?),
+            "purity" => self.purity(PuritySpec::from_json(value)?),
+            "redundancy" => self.redundancy(redundancy_from_json(value)?),
             "grid" => match value.as_str() {
-                Some("single") => Ok(self.grid(GridPolicy::Single)),
-                Some("dual") => Ok(self.grid(GridPolicy::Dual)),
-                _ => Err(invalid("grid", "must be \"single\" or \"dual\"")),
+                Some("single") => self.grid(GridPolicy::Single),
+                Some("dual") => self.grid(GridPolicy::Dual),
+                _ => return Err(invalid("grid", "must be \"single\" or \"dual\"")),
             },
-            "fast_design" => {
-                let v = value
-                    .as_bool()
-                    .ok_or_else(|| invalid("fast_design", "must be a boolean"))?;
-                Ok(self.fast_design(v))
-            }
+            "fast_design" => self.fast_design(SCENARIO.bool("fast_design", value)?),
             "mc_trials" => {
-                let v = num("mc_trials")?;
-                Ok(self.mc_trials(v as u32))
+                let trials = SCENARIO.int("mc_trials", value, 0, u32::MAX.into())?;
+                self.mc_trials(trials as u32)
             }
-            other => Err(unknown_key("scenario", other, &SCENARIO_KEYS)),
+            other => return Err(unknown_key("scenario", other, &SCENARIO_KEYS)),
+        })
+    }
+
+    /// Merge every field of a JSON object through [`Self::set_json`] — the
+    /// one path for a scenario object, a grid's `defaults` and `scenarios`
+    /// entries, and the `base` of a co_opt or wafer document. `field` names
+    /// the object when it is not one.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::InvalidSpec`] naming `field` for a non-object, else
+    /// as [`Self::set_json`].
+    pub fn merge_json(mut self, v: &Json, field: &'static str) -> Result<Self> {
+        let fields = v.as_object().ok_or_else(|| PipelineError::InvalidSpec {
+            field,
+            msg: "must be an object".into(),
+        })?;
+        for (key, value) in fields {
+            self = self.set_json(key, value)?;
         }
+        Ok(self)
     }
 
     /// Peek at the spec as configured so far (not yet validated).
@@ -478,11 +432,11 @@ impl SearcherSpec {
         }
     }
 
-    /// Parse the `BackendSpec`-style forms: a bare name (`"grid"`,
-    /// `"genetic"`, …), an object with a `kind` plus strategy parameters
-    /// (`{"kind": "genetic", "population": 32}`), or the nested
-    /// single-key form (`{"genetic": {"population": 32}}`,
-    /// `{"halving": {"inner": "genetic", "eta": 3}}`).
+    /// Parse a bare name (`"grid"`, `"genetic"`, …), an object with a
+    /// `kind` plus strategy parameters (`{"kind": "genetic", "population":
+    /// 32}`), or the nested single-key form (`{"genetic": {"population":
+    /// 32}}`, `{"halving": {"inner": "genetic", "eta": 3}}`); omitted
+    /// parameters take the strategy's defaults.
     ///
     /// # Errors
     ///
@@ -491,203 +445,118 @@ impl SearcherSpec {
     /// [`PipelineError::InvalidSpec`] on mistyped or out-of-domain
     /// parameters — all at parse time, never mid-search.
     pub fn from_json(v: &Json) -> Result<Self> {
-        let invalid = |msg: String| PipelineError::InvalidSpec {
-            field: "searcher",
-            msg,
+        let (kind, p) = SEARCHER_WIRE.read("searcher", v)?;
+        let int =
+            |key, lo| -> Result<Option<u32>> { Ok(p.int(key, lo, 1_000_000)?.map(|n| n as u32)) };
+        let defaults = match kind {
+            "grid" => SearcherSpec::GridScan,
+            "coordinate-descent" => coordinate_descent_defaults(),
+            "genetic" => genetic_defaults(),
+            _ => halving_defaults(),
         };
-        match v {
-            Json::Str(s) => match s.as_str() {
-                "grid" => Ok(SearcherSpec::GridScan),
-                "coordinate-descent" => Ok(coordinate_descent_defaults()),
-                "genetic" => Ok(genetic_defaults()),
-                "halving" => Ok(halving_defaults()),
-                other => Err(unknown_key("searcher", other, &SEARCHER_KINDS)),
-            },
-            Json::Obj(fields) => {
-                if let Some(kind) = v.get("kind") {
-                    let kind = kind
-                        .as_str()
-                        .ok_or_else(|| invalid("`kind` must be a string".into()))?;
-                    Self::from_kind_fields(kind, v, fields, true)
-                } else if fields.len() == 1 {
-                    // Nested single-key form: { "genetic": { … } }.
-                    let (kind, params) = &fields[0];
-                    if !SEARCHER_KINDS.contains(&kind.as_str()) {
-                        return Err(unknown_key("searcher", kind, &SEARCHER_KINDS));
-                    }
-                    let inner_fields = params
-                        .as_object()
-                        .ok_or_else(|| invalid(format!("`{kind}` parameters must be an object")))?;
-                    Self::from_kind_fields(kind, params, inner_fields, false)
-                } else {
-                    Err(invalid(
-                        "object form needs a `kind` string or a single strategy key".into(),
-                    ))
-                }
-            }
-            _ => Err(invalid("must be a string or an object".into())),
-        }
-    }
-
-    /// Parse one strategy's parameter object. `with_kind` marks the
-    /// `kind`-tagged form (where a `kind` key is legal among the fields).
-    fn from_kind_fields(
-        kind: &str,
-        v: &Json,
-        fields: &[(String, Json)],
-        with_kind: bool,
-    ) -> Result<Self> {
-        let invalid = |msg: String| PipelineError::InvalidSpec {
-            field: "searcher",
-            msg,
-        };
-        let check_keys = |allowed: &[&'static str]| -> Result<()> {
-            for (key, _) in fields {
-                let known = (with_kind && key == "kind") || allowed.contains(&key.as_str());
-                if !known {
-                    return Err(unknown_key("searcher", key, allowed));
-                }
-            }
-            Ok(())
-        };
-        let int_field = |key: &str, min: f64| -> Result<Option<u32>> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => j
-                    .as_f64()
-                    .filter(|n| n.fract() == 0.0 && *n >= min && *n <= 1e6)
-                    .map(|n| Some(n as u32))
-                    .ok_or_else(|| {
-                        invalid(format!("`{key}` must be an integer >= {min} (and <= 1e6)"))
-                    }),
-            }
-        };
-        match kind {
-            "grid" => {
-                check_keys(&[])?;
-                Ok(SearcherSpec::GridScan)
-            }
-            "coordinate-descent" => {
-                check_keys(&["restarts", "max_sweeps"])?;
-                let SearcherSpec::CoordinateDescent {
-                    restarts: dr,
-                    max_sweeps: ds,
-                } = coordinate_descent_defaults()
-                else {
-                    unreachable!("defaults are coordinate descent")
-                };
-                Ok(SearcherSpec::CoordinateDescent {
-                    restarts: int_field("restarts", 1.0)?.unwrap_or(dr),
-                    max_sweeps: int_field("max_sweeps", 1.0)?.unwrap_or(ds),
-                })
-            }
-            "genetic" => {
-                check_keys(&["population", "generations", "tournament_k", "mutation_rate"])?;
-                let SearcherSpec::Genetic {
-                    population: dp,
-                    generations: dg,
-                    tournament_k: dk,
-                    mutation_rate: dm,
-                } = genetic_defaults()
-                else {
-                    unreachable!("defaults are genetic")
-                };
-                let population = int_field("population", 2.0)?.unwrap_or(dp);
-                let tournament_k = int_field("tournament_k", 1.0)?.unwrap_or(dk);
-                if tournament_k > population {
-                    return Err(invalid(format!(
-                        "`tournament_k` ({tournament_k}) must not exceed \
-                         `population` ({population})"
-                    )));
-                }
-                let mutation_rate = match v.get("mutation_rate") {
-                    None => dm,
-                    Some(j) => j
-                        .as_f64()
-                        .filter(|m| (0.0..=1.0).contains(m))
-                        .ok_or_else(|| {
-                            invalid("`mutation_rate` must be a number in [0, 1]".into())
-                        })?,
-                };
-                Ok(SearcherSpec::Genetic {
-                    population,
-                    generations: int_field("generations", 0.0)?.unwrap_or(dg),
-                    tournament_k,
-                    mutation_rate,
-                })
-            }
-            "halving" => {
-                check_keys(&["inner", "rungs", "eta"])?;
-                // The regression contract: eta < 2 and rungs == 0 are
-                // parse-time errors, never a mid-search panic.
-                let rungs = int_field("rungs", 1.0)?.map_or(Ok(3), |r| {
-                    if r == 0 {
-                        Err(invalid("`rungs` must be >= 1".into()))
-                    } else {
-                        Ok(r)
-                    }
-                })?;
-                let eta = match v.get("eta") {
-                    None => 2,
-                    Some(j) => j
-                        .as_f64()
-                        .filter(|n| n.fract() == 0.0 && (2.0..=64.0).contains(n))
-                        .map(|n| n as u32)
-                        .ok_or_else(|| invalid("`eta` must be an integer in [2, 64]".into()))?,
-                };
-                let inner = match v.get("inner") {
-                    None => genetic_defaults(),
-                    Some(j) => Self::from_json(j)?,
-                };
-                if matches!(inner, SearcherSpec::Halving { .. }) {
-                    return Err(invalid(
-                        "`halving` cannot nest another `halving` ladder".into(),
-                    ));
-                }
-                Ok(SearcherSpec::Halving {
-                    inner: Box::new(inner),
-                    rungs,
-                    eta,
-                })
-            }
-            other => Err(unknown_key("searcher", other, &SEARCHER_KINDS)),
-        }
-    }
-
-    /// Serialize to the wire form (normal `kind` object for parameterized
-    /// strategies, bare string otherwise).
-    pub fn to_json(&self) -> Json {
-        match self {
-            SearcherSpec::GridScan => Json::Str("grid".into()),
+        Ok(match defaults {
+            SearcherSpec::GridScan => SearcherSpec::GridScan,
             SearcherSpec::CoordinateDescent {
                 restarts,
                 max_sweeps,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("coordinate-descent".into())),
-                ("restarts".into(), Json::Num(f64::from(*restarts))),
-                ("max_sweeps".into(), Json::Num(f64::from(*max_sweeps))),
-            ]),
+            } => SearcherSpec::CoordinateDescent {
+                restarts: int("restarts", 1)?.unwrap_or(restarts),
+                max_sweeps: int("max_sweeps", 1)?.unwrap_or(max_sweeps),
+            },
             SearcherSpec::Genetic {
                 population,
                 generations,
                 tournament_k,
                 mutation_rate,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("genetic".into())),
-                ("population".into(), Json::Num(f64::from(*population))),
-                ("generations".into(), Json::Num(f64::from(*generations))),
-                ("tournament_k".into(), Json::Num(f64::from(*tournament_k))),
-                ("mutation_rate".into(), Json::Num(*mutation_rate)),
-            ]),
-            SearcherSpec::Halving { inner, rungs, eta } => Json::Obj(vec![
-                ("kind".into(), Json::Str("halving".into())),
-                ("inner".into(), inner.to_json()),
-                ("rungs".into(), Json::Num(f64::from(*rungs))),
-                ("eta".into(), Json::Num(f64::from(*eta))),
-            ]),
-        }
+            } => {
+                let population = int("population", 2)?.unwrap_or(population);
+                let tournament_k = int("tournament_k", 1)?.unwrap_or(tournament_k);
+                if tournament_k > population {
+                    return Err(p.error(
+                        "tournament_k",
+                        format!(
+                            "`tournament_k` ({tournament_k}) must not exceed \
+                             `population` ({population})"
+                        ),
+                    ));
+                }
+                let mutation_rate = p.num("mutation_rate")?.unwrap_or(mutation_rate);
+                if !(0.0..=1.0).contains(&mutation_rate) {
+                    return Err(p.error(
+                        "mutation_rate",
+                        "`mutation_rate` must be a number in [0, 1]",
+                    ));
+                }
+                SearcherSpec::Genetic {
+                    population,
+                    generations: int("generations", 0)?.unwrap_or(generations),
+                    tournament_k,
+                    mutation_rate,
+                }
+            }
+            SearcherSpec::Halving { inner, rungs, eta } => {
+                let inner = match p.get("inner") {
+                    None => inner,
+                    Some(j) => Box::new(Self::from_json(j)?),
+                };
+                if matches!(*inner, SearcherSpec::Halving { .. }) {
+                    return Err(p.error("inner", "`halving` cannot nest another `halving` ladder"));
+                }
+                // The regression contract: eta < 2 and rungs == 0 are
+                // parse-time errors, never a mid-search panic.
+                SearcherSpec::Halving {
+                    inner,
+                    rungs: int("rungs", 1)?.unwrap_or(rungs),
+                    eta: p.int("eta", 2, 64)?.map_or(eta, |e| e as u32),
+                }
+            }
+        })
+    }
+
+    /// Serialize to the wire form (normal `kind` object for parameterized
+    /// strategies, bare string otherwise).
+    pub fn to_json(&self) -> Json {
+        let num = |n: u32| Json::Num(f64::from(n));
+        let params = match self {
+            SearcherSpec::GridScan => vec![],
+            SearcherSpec::CoordinateDescent {
+                restarts,
+                max_sweeps,
+            } => vec![
+                ("restarts", num(*restarts)),
+                ("max_sweeps", num(*max_sweeps)),
+            ],
+            SearcherSpec::Genetic {
+                population,
+                generations,
+                tournament_k,
+                mutation_rate,
+            } => vec![
+                ("population", num(*population)),
+                ("generations", num(*generations)),
+                ("tournament_k", num(*tournament_k)),
+                ("mutation_rate", Json::Num(*mutation_rate)),
+            ],
+            SearcherSpec::Halving { inner, rungs, eta } => vec![
+                ("inner", inner.to_json()),
+                ("rungs", num(*rungs)),
+                ("eta", num(*eta)),
+            ],
+        };
+        SEARCHER_WIRE.write(self.name(), params)
     }
 }
+
+/// The wire table of [`SearcherSpec`]: its kinds and their parameters.
+const SEARCHER_WIRE: Tagged = Tagged {
+    kinds: &SEARCHER_KINDS,
+    params: &[
+        &[],
+        &["restarts", "max_sweeps"],
+        &["population", "generations", "tournament_k", "mutation_rate"],
+        &["inner", "rungs", "eta"],
+    ],
+};
 
 /// A declarative process–design co-optimization problem: a base scenario,
 /// the search axes varied over it, the scalarized objective, and the
@@ -737,37 +606,24 @@ fn invalid_coopt(field: &'static str, msg: impl Into<String>) -> PipelineError {
 /// Parse the `objective` object onto [`cnfet_core::objective::CostWeights`]
 /// (every field optional, defaults from `CostWeights::default`).
 fn cost_weights_from_json(v: &Json) -> Result<cnfet_core::objective::CostWeights> {
-    const KEYS: [&str; 5] = [
-        "w_min_weight",
-        "area_weight",
-        "margin_weight",
-        "shortfall_weight",
-        "w_ref_nm",
-    ];
-    let fields = v
-        .as_object()
-        .ok_or_else(|| invalid_coopt("objective", "must be an object"))?;
-    for (key, _) in fields {
-        if !KEYS.contains(&key.as_str()) {
-            return Err(unknown_key("objective", key, &KEYS));
-        }
-    }
-    let field = |key: &str| -> Result<Option<f64>> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| invalid_coopt("objective", format!("`{key}` must be a number"))),
-        }
-    };
+    let o = Obj::new(
+        v,
+        Owner::Field("objective"),
+        &[
+            "w_min_weight",
+            "area_weight",
+            "margin_weight",
+            "shortfall_weight",
+            "w_ref_nm",
+        ],
+    )?;
     let d = cnfet_core::objective::CostWeights::default();
     Ok(cnfet_core::objective::CostWeights {
-        w_min_weight: field("w_min_weight")?.unwrap_or(d.w_min_weight),
-        area_weight: field("area_weight")?.unwrap_or(d.area_weight),
-        margin_weight: field("margin_weight")?.unwrap_or(d.margin_weight),
-        shortfall_weight: field("shortfall_weight")?.unwrap_or(d.shortfall_weight),
-        w_ref_nm: field("w_ref_nm")?.unwrap_or(d.w_ref_nm),
+        w_min_weight: o.num("w_min_weight")?.unwrap_or(d.w_min_weight),
+        area_weight: o.num("area_weight")?.unwrap_or(d.area_weight),
+        margin_weight: o.num("margin_weight")?.unwrap_or(d.margin_weight),
+        shortfall_weight: o.num("shortfall_weight")?.unwrap_or(d.shortfall_weight),
+        w_ref_nm: o.num("w_ref_nm")?.unwrap_or(d.w_ref_nm),
     })
 }
 
@@ -802,25 +658,10 @@ impl SearchAxis {
                     format!("axis `{key}` must list at least one value"),
                 ))
             }
-            Json::Obj(fields) => {
-                for (k, _) in fields {
-                    if !["min", "max", "steps"].contains(&k.as_str()) {
-                        return Err(unknown_key("search range", k, &["min", "max", "steps"]));
-                    }
-                }
-                let num = |k: &str| -> Result<f64> {
-                    v.get(k).and_then(Json::as_f64).ok_or_else(|| {
-                        invalid_coopt("search", format!("range for `{key}` needs a number `{k}`"))
-                    })
-                };
-                let (min, max) = (num("min")?, num("max")?);
-                let steps = num("steps")?;
-                if !(steps.fract() == 0.0 && (2.0..=10_000.0).contains(&steps)) {
-                    return Err(invalid_coopt(
-                        "search",
-                        format!("range for `{key}` needs integer `steps` in [2, 10000]"),
-                    ));
-                }
+            Json::Obj(_) => {
+                let range = Obj::new(v, Owner::Field("search"), &["min", "max", "steps"])?;
+                let (min, max) = (range.req("min", Obj::num)?, range.req("max", Obj::num)?);
+                let steps = range.req("steps", |r, k| r.int(k, 2, 10_000))?;
                 if !(min.is_finite() && max.is_finite() && min < max) {
                     return Err(invalid_coopt(
                         "search",
@@ -867,36 +708,16 @@ impl CoOptSpec {
     /// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`] for
     /// unknown sections, unknown fields, or out-of-domain values.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        for (key, _) in doc
-            .as_object()
-            .ok_or_else(|| invalid_coopt("co_opt", "document must be an object"))?
-        {
-            if !COOPT_KEYS.contains(&key.as_str()) {
-                return Err(unknown_key("co_opt", key, &COOPT_KEYS));
-            }
-        }
-        let name = match doc.get("name") {
-            None => "coopt".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| invalid_coopt("name", "must be a string"))?
-                .to_string(),
-        };
+        let doc = Obj::new(doc, Owner::Doc("co_opt"), &COOPT_KEYS)?;
+        let name = doc.str("name")?.unwrap_or("coopt").to_string();
         let mut builder = ScenarioBuilder::new(name.clone());
         if let Some(base) = doc.get("base") {
-            let fields = base
-                .as_object()
-                .ok_or_else(|| invalid_coopt("base", "must be an object"))?;
-            for (key, value) in fields {
-                builder = builder.set_json(key, value)?;
-            }
+            builder = builder.merge_json(base, "base")?;
         }
         let base = builder.name(name.clone()).build()?;
 
-        let search = doc
-            .get("search")
-            .ok_or_else(|| invalid_coopt("search", "a co_opt spec needs a `search` object"))?;
-        let entries = search
+        let entries = doc
+            .need("search")?
             .as_object()
             .ok_or_else(|| invalid_coopt("search", "must be an object"))?;
         if entries.is_empty() {
@@ -1166,14 +987,5 @@ mod tests {
             PipelineError::UnknownKey { suggestion, .. } => assert_eq!(suggestion, None),
             other => panic!("expected UnknownKey, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("abc", "abc"), 0);
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
-        assert_eq!(suggest("nodenm", &SCENARIO_KEYS), Some("node_nm"));
-        assert_eq!(suggest("backened", &SCENARIO_KEYS), Some("backend"));
     }
 }

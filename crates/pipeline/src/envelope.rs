@@ -131,7 +131,7 @@
 //! ```
 
 use crate::builder::{CoOptSpec, COOPT_KEYS, SCENARIO_KEYS, SEARCHER_KINDS};
-use crate::json::Json;
+use crate::json::{unknown_key, Json, Obj, Owner};
 use crate::report::{CoOptReport, ScenarioReport};
 use crate::spec::{BackendSpec, CorrelationSpec, LibrarySpec, ScenarioGrid, ScenarioSpec};
 use crate::wafer::{WaferReport, WaferSpec, WAFER_KEYS};
@@ -363,145 +363,86 @@ impl YieldRequest {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] / [`PipelineError::UnknownKey`] on
-    /// malformed envelopes or bodies.
+    /// [`PipelineError::BadRequest`] / [`PipelineError::UnknownKey`] on
+    /// malformed envelopes; the spec and grid errors of the body as they
+    /// are.
     pub fn from_json(v: &Json) -> Result<Self> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| bad("request must be an object"))?;
-        for (key, _) in fields {
-            if !["schema", "id", "body"].contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key(
-                    "request",
-                    key,
-                    &["schema", "id", "body"],
-                ));
-            }
-        }
-        // `as_u64` keeps `schema: 1.9` / `schema: -1` from being silently
-        // truncated into a supported (or misreported) version; any
-        // well-formed integer still reaches the service's version check.
-        let schema = v
-            .get("schema")
-            .ok_or_else(|| bad("missing `schema` field"))?
-            .as_u64()
-            .ok_or_else(|| bad("`schema` must be a non-negative integer"))?;
-        let id = v
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing string `id` field"))?
-            .to_string();
-        let body = v.get("body").ok_or_else(|| bad("missing `body` field"))?;
-        let body = Self::body_from_json(body)?;
-        Ok(Self { schema, id, body })
+        let request = Obj::new(v, Owner::Envelope("request"), &["schema", "id", "body"])?;
+        // The integer read keeps `schema: 1.9` / `schema: -1` from being
+        // silently truncated into a supported (or misreported) version;
+        // any well-formed integer still reaches the service's version check.
+        Ok(Self {
+            schema: request.req("schema", Obj::u64)?,
+            id: request.req("id", Obj::str)?.to_string(),
+            body: Self::body_from_json(request.need("body")?)?,
+        })
     }
 
     fn body_from_json(body: &Json) -> Result<RequestBody> {
         if body.as_str() == Some("describe") {
             return Ok(RequestBody::Describe);
         }
+        let bad = |msg: &str| PipelineError::BadRequest(msg.into());
         let fields = body
             .as_object()
             .ok_or_else(|| bad("`body` must be \"describe\" or a single-key object"))?;
         let [(kind, payload)] = fields else {
             return Err(bad("`body` must have exactly one key"));
         };
+        let payload = |label, keys| Obj::new(payload, Owner::Envelope(label), keys);
+        // `seed` accepts the exact `Json::from_u64` encoding (number or
+        // decimal string); `workers` only changes wall-clock time.
+        let seed = |p: &Obj| -> Result<u64> { Ok(p.u64("seed")?.unwrap_or(DEFAULT_SEED)) };
+        let workers = |p: &Obj| -> Result<Option<usize>> {
+            match p.u64("workers")? {
+                Some(w) if !(1..=MAX_WORKERS as u64).contains(&w) => Err(bad(&format!(
+                    "`workers` must be an integer from 1 to {MAX_WORKERS}"
+                ))),
+                w => Ok(w.map(|w| w as usize)),
+            }
+        };
         match kind.as_str() {
-            "describe" => Ok(RequestBody::Describe),
+            "describe" => {
+                payload("describe request", &[])?;
+                Ok(RequestBody::Describe)
+            }
             "evaluate" => {
-                reject_unknown_keys("evaluate request", payload, &["spec", "seed"])?;
-                let spec = payload
-                    .get("spec")
-                    .ok_or_else(|| bad("`evaluate` needs a `spec` object"))?;
+                let p = payload("evaluate request", &["spec", "seed"])?;
                 Ok(RequestBody::Evaluate {
-                    spec: ScenarioSpec::from_json(spec)?,
-                    seed: opt_seed(payload)?,
+                    spec: ScenarioSpec::from_json(p.need("spec")?)?,
+                    seed: seed(&p)?,
                 })
             }
             "sweep" => {
-                reject_unknown_keys("sweep request", payload, &["grid", "seed", "workers"])?;
-                let grid = payload
-                    .get("grid")
-                    .ok_or_else(|| bad("`sweep` needs a `grid` object"))?;
+                let p = payload("sweep request", &["grid", "seed", "workers"])?;
                 Ok(RequestBody::Sweep {
-                    grid: ScenarioGrid::from_json(grid)?,
-                    seed: opt_seed(payload)?,
-                    workers: opt_workers(payload)?,
+                    grid: ScenarioGrid::from_json(p.need("grid")?)?,
+                    seed: seed(&p)?,
+                    workers: workers(&p)?,
                 })
             }
             "co_opt" => {
-                reject_unknown_keys("co_opt request", payload, &["spec", "seed", "workers"])?;
-                let spec = payload
-                    .get("spec")
-                    .ok_or_else(|| bad("`co_opt` needs a `spec` object"))?;
+                let p = payload("co_opt request", &["spec", "seed", "workers"])?;
                 Ok(RequestBody::CoOpt {
-                    spec: CoOptSpec::from_json(spec)?,
-                    seed: opt_seed(payload)?,
-                    workers: opt_workers(payload)?,
+                    spec: CoOptSpec::from_json(p.need("spec")?)?,
+                    seed: seed(&p)?,
+                    workers: workers(&p)?,
                 })
             }
             "wafer" => {
-                reject_unknown_keys("wafer request", payload, &["spec", "seed", "workers"])?;
-                let spec = payload
-                    .get("spec")
-                    .ok_or_else(|| bad("`wafer` needs a `spec` object"))?;
+                let p = payload("wafer request", &["spec", "seed", "workers"])?;
                 Ok(RequestBody::Wafer {
-                    spec: WaferSpec::from_json(spec)?,
-                    seed: opt_seed(payload)?,
-                    workers: opt_workers(payload)?,
+                    spec: WaferSpec::from_json(p.need("spec")?)?,
+                    seed: seed(&p)?,
+                    workers: workers(&p)?,
                 })
             }
-            other => Err(crate::builder::unknown_key(
+            other => Err(unknown_key(
                 "request body",
                 other,
                 &["evaluate", "sweep", "co_opt", "wafer", "describe"],
             )),
         }
-    }
-}
-
-/// Reject payload keys outside `allowed` — a typo'd `seed` or `workers`
-/// must error with a suggestion, not silently fall back to defaults.
-fn reject_unknown_keys(
-    context: &'static str,
-    payload: &Json,
-    allowed: &[&'static str],
-) -> Result<()> {
-    let fields = payload
-        .as_object()
-        .ok_or_else(|| bad(format!("{context} payload must be an object")))?;
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(crate::builder::unknown_key(context, key, allowed));
-        }
-    }
-    Ok(())
-}
-
-/// Optional `workers` field: an integer in `1..=MAX_WORKERS` when present.
-fn opt_workers(payload: &Json) -> Result<Option<usize>> {
-    match payload.get("workers") {
-        None => Ok(None),
-        Some(w) => Ok(Some(
-            w.as_u64()
-                .filter(|w| (1..=MAX_WORKERS as u64).contains(w))
-                .ok_or_else(|| {
-                    PipelineError::BadRequest(format!(
-                        "`workers` must be an integer from 1 to {MAX_WORKERS}"
-                    ))
-                })? as usize,
-        )),
-    }
-}
-
-/// Optional `seed` field, defaulting to [`DEFAULT_SEED`]. Accepts the
-/// exact [`Json::from_u64`] encoding (number or decimal string).
-fn opt_seed(payload: &Json) -> Result<u64> {
-    match payload.get("seed") {
-        None => Ok(DEFAULT_SEED),
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| bad("`seed` must be a non-negative integer (or decimal string)")),
     }
 }
 
@@ -1155,11 +1096,29 @@ mod tests {
                 r#"{ "schema": 1, "id": "x", "body": { "sweep": { "grid": {"scenarios": [{}]}, "workers": 0 } } }"#,
                 "zero workers",
             ),
+            (
+                r#"{ "schema": 1, "id": "x", "body": { "sweep": { "grid": {"scenarios": [{}]}, "seed": "x" } } }"#,
+                "non-integer seed",
+            ),
+            (
+                r#"{ "schema": 1, "id": "x", "body": { "evaluate": 7 } }"#,
+                "non-object payload",
+            ),
+            (
+                r#"{ "schema": 1, "id": 7, "body": "describe" }"#,
+                "numeric id",
+            ),
+            (
+                r#"{ "schema": 1, "id": "x", "body": { "describe": 5 } }"#,
+                "non-object describe payload",
+            ),
         ];
         for (doc, why) in cases {
-            assert!(
-                YieldRequest::from_json(&Json::parse(doc).unwrap()).is_err(),
-                "{why}"
+            let err = YieldRequest::from_json(&Json::parse(doc).unwrap()).unwrap_err();
+            assert_eq!(
+                ServiceError::from_pipeline(&err).code,
+                ErrorCode::BadRequest,
+                "{why}: {err}"
             );
         }
     }

@@ -1,4 +1,5 @@
-//! A hand-rolled JSON subset — parser and writer.
+//! A hand-rolled JSON subset — parser and writer — and the request codec
+//! built on it.
 //!
 //! The build environment has an empty registry, so scenario-grid files and
 //! structured result artifacts use this ~300-line implementation instead of
@@ -7,6 +8,19 @@
 //! conveniences for human-edited grid files: `//`- and `#`-style comments
 //! and trailing commas. Object key order is preserved, so written artifacts
 //! are stable and diffable.
+//!
+//! The codec is the one place that decides what a request may contain:
+//!
+//! * `Obj` reads one object. Any key outside its allowed list is
+//!   [`PipelineError::UnknownKey`] with the nearest valid name, and a value
+//!   of the wrong type is an error naming the field that owns it
+//!   (`Owner`), never a silent default;
+//! * `Tagged` normalizes the three wire forms of a tagged type — a bare
+//!   kind name, `{"kind": k, …}` and the nested `{k: {…}}` — into a kind
+//!   and an `Obj` over its parameters, checked against the type's table
+//!   of kinds and parameter names, and writes the normal form back;
+//!   `backend`, the distribution knobs, `redundancy` and `searcher` are
+//!   its four tables (modelled on serde's `#[serde(tag = "kind")]` enums).
 
 use crate::{PipelineError, Result};
 use std::fmt::Write as _;
@@ -409,12 +423,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash as one slice, so the UTF-8 check stays
+                    // linear in the string's length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -464,6 +482,271 @@ impl Parser<'_> {
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
+    }
+}
+
+/// Levenshtein edit distance (iterative two-row form).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut curr = vec![0usize; b.len() + 1];
+    for (i, ca) in a.iter().enumerate() {
+        curr[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let subst = prev[j] + usize::from(ca != cb);
+            curr[j + 1] = subst.min(prev[j + 1] + 1).min(curr[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[b.len()]
+}
+
+/// The closest candidate to `key` by edit distance, if it is close enough
+/// to plausibly be a typo (distance ≤ max(2, len/3), ties broken by
+/// candidate order).
+pub(crate) fn suggest(key: &str, candidates: &[&'static str]) -> Option<&'static str> {
+    let budget = (key.chars().count() / 3).max(2);
+    candidates
+        .iter()
+        .map(|c| (edit_distance(key, c), *c))
+        .min_by_key(|(d, _)| *d)
+        .filter(|(d, _)| *d <= budget)
+        .map(|(_, c)| c)
+}
+
+/// Build an [`PipelineError::UnknownKey`] with the nearest valid key by
+/// edit distance (suggested when the typo is within max(2, len/3) edits),
+/// so every parser reports typos with the same structure and rule.
+pub(crate) fn unknown_key(
+    context: &'static str,
+    key: &str,
+    candidates: &[&'static str],
+) -> PipelineError {
+    PipelineError::UnknownKey {
+        context,
+        key: key.to_string(),
+        suggestion: suggest(key, candidates).map(str::to_string),
+    }
+}
+
+/// Who answers for a value the codec reads: the error a value of the wrong
+/// type, a missing key or an unknown key becomes. Each variant's label
+/// names the object in unknown-key messages.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Owner {
+    /// One scenario field owns every value (`bad_spec` naming it): a
+    /// tagged type's parameters, a custom corner, an `objective`.
+    Field(&'static str),
+    /// Each key owns its own value (`bad_spec` naming the key): the fields
+    /// of a scenario and the sections of a wafer, co_opt or grid document.
+    Doc(&'static str),
+    /// The request envelope (`bad_request`).
+    Envelope(&'static str),
+}
+
+impl Owner {
+    fn label(self) -> &'static str {
+        match self {
+            Owner::Field(label) | Owner::Doc(label) | Owner::Envelope(label) => label,
+        }
+    }
+
+    /// The error for a bad value under `key`.
+    pub(crate) fn error(self, key: &'static str, msg: impl Into<String>) -> PipelineError {
+        let msg = msg.into();
+        match self {
+            Owner::Field(field) => PipelineError::InvalidSpec { field, msg },
+            Owner::Doc(_) => PipelineError::InvalidSpec { field: key, msg },
+            Owner::Envelope(_) => PipelineError::BadRequest(msg),
+        }
+    }
+
+    /// `v` as a number.
+    pub(crate) fn num(self, key: &'static str, v: &Json) -> Result<f64> {
+        v.as_f64()
+            .ok_or_else(|| self.error(key, format!("`{key}` must be a number")))
+    }
+
+    /// `v` as an integral number in `[lo, hi]`; a fraction or an
+    /// out-of-range value is an error, never truncated.
+    pub(crate) fn int(self, key: &'static str, v: &Json, lo: u64, hi: u64) -> Result<u64> {
+        match v {
+            Json::Num(n) if n.fract() == 0.0 && *n >= lo as f64 && *n <= hi as f64 => Ok(*n as u64),
+            _ => Err(self.error(key, format!("`{key}` must be an integer in [{lo}, {hi}]"))),
+        }
+    }
+
+    /// `v` as a `u64` in the exact wire encoding of [`Json::from_u64`].
+    pub(crate) fn u64(self, key: &'static str, v: &Json) -> Result<u64> {
+        v.as_u64().ok_or_else(|| {
+            self.error(
+                key,
+                format!("`{key}` must be a non-negative integer (or decimal string)"),
+            )
+        })
+    }
+
+    /// `v` as a string.
+    pub(crate) fn str<'a>(self, key: &'static str, v: &'a Json) -> Result<&'a str> {
+        v.as_str()
+            .ok_or_else(|| self.error(key, format!("`{key}` must be a string")))
+    }
+
+    /// `v` as a boolean.
+    pub(crate) fn bool(self, key: &'static str, v: &Json) -> Result<bool> {
+        v.as_bool()
+            .ok_or_else(|| self.error(key, format!("`{key}` must be a boolean")))
+    }
+}
+
+/// Reject the first key of `fields` outside `keys` (and outside `kind`, the
+/// tag of a `kind` object, when `tagged`).
+fn check_keys(
+    fields: &[(String, Json)],
+    owner: Owner,
+    keys: &[&'static str],
+    tagged: bool,
+) -> Result<()> {
+    match fields
+        .iter()
+        .find(|(k, _)| !(keys.contains(&k.as_str()) || tagged && k == "kind"))
+    {
+        Some((k, _)) => Err(unknown_key(owner.label(), k, keys)),
+        None => Ok(()),
+    }
+}
+
+/// A checked view of one JSON object: every key is allowed, and typed
+/// reads report a bad value through the object's [`Owner`]. Reads borrow
+/// the document; nothing is copied.
+#[derive(Debug)]
+pub(crate) struct Obj<'a> {
+    fields: &'a [(String, Json)],
+    owner: Owner,
+}
+
+impl<'a> Obj<'a> {
+    /// Open `v` as an object whose keys all appear in `keys`.
+    pub(crate) fn new(v: &'a Json, owner: Owner, keys: &[&'static str]) -> Result<Self> {
+        let label = owner.label();
+        let fields = v
+            .as_object()
+            .ok_or_else(|| owner.error(label, format!("`{label}` must be an object")))?;
+        check_keys(fields, owner, keys, false)?;
+        Ok(Self { fields, owner })
+    }
+
+    /// The error for a bad value under `key`.
+    pub(crate) fn error(&self, key: &'static str, msg: impl Into<String>) -> PipelineError {
+        self.owner.error(key, msg)
+    }
+
+    /// The raw value under `key`.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The raw value under `key`, which must be present.
+    pub(crate) fn need(&self, key: &'static str) -> Result<&'a Json> {
+        self.get(key)
+            .ok_or_else(|| self.error(key, format!("missing `{key}`")))
+    }
+
+    /// A typed value under `key` (read with one of the readers below),
+    /// which must be present.
+    pub(crate) fn req<T>(
+        &self,
+        key: &'static str,
+        read: impl FnOnce(&Self, &'static str) -> Result<Option<T>>,
+    ) -> Result<T> {
+        read(self, key)?.ok_or_else(|| self.error(key, format!("missing `{key}`")))
+    }
+
+    /// An optional number.
+    pub(crate) fn num(&self, key: &'static str) -> Result<Option<f64>> {
+        self.get(key).map(|v| self.owner.num(key, v)).transpose()
+    }
+
+    /// An optional integer in `[lo, hi]`.
+    pub(crate) fn int(&self, key: &'static str, lo: u64, hi: u64) -> Result<Option<u64>> {
+        self.get(key)
+            .map(|v| self.owner.int(key, v, lo, hi))
+            .transpose()
+    }
+
+    /// An optional `u64` in the [`Json::from_u64`] encoding.
+    pub(crate) fn u64(&self, key: &'static str) -> Result<Option<u64>> {
+        self.get(key).map(|v| self.owner.u64(key, v)).transpose()
+    }
+
+    /// An optional string.
+    pub(crate) fn str(&self, key: &'static str) -> Result<Option<&'a str>> {
+        self.get(key).map(|v| self.owner.str(key, v)).transpose()
+    }
+}
+
+/// The wire table of one tagged type: its kinds in canonical order and,
+/// aligned with them, each kind's parameter names.
+pub(crate) struct Tagged {
+    /// The kind names.
+    pub kinds: &'static [&'static str],
+    /// The parameter names of `kinds[i]`.
+    pub params: &'static [&'static [&'static str]],
+}
+
+impl Tagged {
+    /// Normalize a bare kind name, `{"kind": k, …}` or `{k: {…}}` into the
+    /// kind and a reader over its parameters (none for a bare name, so a
+    /// kind with required parameters needs an object form). Every error
+    /// names `field`; an unknown kind or parameter name is
+    /// [`PipelineError::UnknownKey`] with the nearest valid name.
+    pub(crate) fn read<'a>(
+        &self,
+        field: &'static str,
+        v: &'a Json,
+    ) -> Result<(&'static str, Obj<'a>)> {
+        let owner = Owner::Field(field);
+        let kind = |name: &str| {
+            self.kinds
+                .iter()
+                .position(|k| *k == name)
+                .ok_or_else(|| unknown_key(field, name, self.kinds))
+        };
+        let (i, fields, tagged) = match v {
+            Json::Str(name) => (kind(name)?, &[][..], false),
+            Json::Obj(fields) => match (v.get("kind"), &fields[..]) {
+                (Some(Json::Str(name)), _) => (kind(name)?, &fields[..], true),
+                (Some(_), _) => return Err(owner.error(field, "`kind` must be a string")),
+                (None, [(name, params)]) => {
+                    let params = params.as_object().ok_or_else(|| {
+                        owner.error(field, format!("`{name}` parameters must be an object"))
+                    })?;
+                    (kind(name)?, params, false)
+                }
+                (None, _) => {
+                    return Err(owner.error(
+                        field,
+                        "object form needs a `kind` string or a single kind key",
+                    ))
+                }
+            },
+            _ => return Err(owner.error(field, "must be a string or an object")),
+        };
+        check_keys(fields, owner, self.params[i], tagged)?;
+        Ok((self.kinds[i], Obj { fields, owner }))
+    }
+
+    /// The normal form of a value: its bare kind name when it has no
+    /// parameters, the `kind` object otherwise.
+    pub(crate) fn write(&self, kind: &'static str, params: Vec<(&'static str, Json)>) -> Json {
+        debug_assert!(self.kinds.contains(&kind), "`{kind}` is not in the table");
+        if params.is_empty() {
+            return Json::Str(kind.into());
+        }
+        let mut fields = Vec::with_capacity(params.len() + 1);
+        fields.push(("kind".to_string(), Json::Str(kind.into())));
+        fields.extend(params.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(fields)
     }
 }
 
@@ -574,6 +857,35 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(0.5).as_u64(), None);
         assert_eq!(Json::Str("not a number".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn edit_distance_basics() {
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("abc", "abc"), 0);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
+        assert_eq!(suggest("nodenm", &crate::SCENARIO_KEYS), Some("node_nm"));
+        assert_eq!(suggest("backened", &crate::SCENARIO_KEYS), Some("backend"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 8 MiB in one string, and 2 MiB of short strings: the old
+        // per-character scan took 85 ms for 64 KiB and grew quadratically.
+        let big = format!(r#"{{"pad": "{}", "id": "x"}}"#, "é".repeat(4 << 20));
+        let many = format!("[{}\"\"]", "\"short\", ".repeat(1 << 18));
+        let start = std::time::Instant::now();
+        let v = Json::parse(&big).unwrap();
+        assert_eq!(
+            v.get("pad").and_then(Json::as_str).map(str::len),
+            Some(8 << 20)
+        );
+        assert_eq!(
+            Json::parse(&many).unwrap().as_array().map(<[Json]>::len),
+            Some((1 << 18) + 1)
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs() < 20, "took {elapsed:?}");
     }
 
     #[test]

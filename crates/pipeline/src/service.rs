@@ -23,7 +23,7 @@
 use crate::engine::{sweep_mc_workers, CacheConfig, Pipeline};
 use crate::envelope::{
     ErrorCode, RequestBody, ResponseBody, ServiceError, ServiceInfo, YieldRequest, YieldResponse,
-    SCHEMA_VERSION,
+    MAX_WORKERS, SCHEMA_VERSION,
 };
 use crate::report::ScenarioReport;
 use crate::spec::ScenarioSpec;
@@ -39,7 +39,8 @@ use std::thread::JoinHandle;
 pub struct ServiceConfig {
     /// Bounds for the shared pipeline caches.
     pub cache: CacheConfig,
-    /// Default worker-thread count for sweeps (requests may override).
+    /// Default worker-thread count for sweeps (requests may override);
+    /// the default is the core count, capped at [`MAX_WORKERS`].
     pub sweep_workers: usize,
 }
 
@@ -48,8 +49,7 @@ impl Default for ServiceConfig {
         Self {
             cache: CacheConfig::default(),
             sweep_workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+                .map_or(1, |n| n.get().min(MAX_WORKERS)),
         }
     }
 }

@@ -22,7 +22,8 @@
 //! }
 //! ```
 
-use crate::json::Json;
+use crate::builder::ScenarioBuilder;
+use crate::json::{Json, Obj, Owner, Tagged};
 use crate::knob;
 use crate::{PipelineError, Result};
 use cnfet_core::corner::ProcessCorner;
@@ -94,19 +95,11 @@ impl CornerSpec {
                 )),
             },
             Json::Obj(_) => {
-                let field = |key: &str| -> Result<Option<f64>> {
-                    match v.get(key) {
-                        None => Ok(None),
-                        Some(j) => j
-                            .as_f64()
-                            .map(Some)
-                            .ok_or_else(|| invalid("corner", format!("`{key}` must be a number"))),
-                    }
-                };
+                let c = Obj::new(v, Owner::Field("corner"), &["pm", "p_rs", "p_rm"])?;
                 Ok(CornerSpec::Custom {
-                    pm: field("pm")?.ok_or_else(|| invalid("corner", "missing `pm`"))?,
-                    p_rs: field("p_rs")?.ok_or_else(|| invalid("corner", "missing `p_rs`"))?,
-                    p_rm: field("p_rm")?.unwrap_or(1.0),
+                    pm: c.req("pm", Obj::num)?,
+                    p_rs: c.req("p_rs", Obj::num)?,
+                    p_rm: c.num("p_rm")?.unwrap_or(1.0),
                 })
             }
             _ => Err(invalid("corner", "must be a string or an object")),
@@ -325,104 +318,62 @@ impl BackendSpec {
         }
     }
 
-    /// Parse the monte-carlo parameter object. `allow` names the keys that
-    /// are legal in this form (the `kind` form carries a `kind` key, the
-    /// nested form does not); anything else — including a non-object
-    /// payload — is an error rather than a silent fall-through to the
-    /// defaults.
-    fn mc_from_fields(v: &Json, allow: &[&str]) -> Result<Self> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| invalid("backend", "monte-carlo parameters must be an object"))?;
-        for (key, _) in fields {
-            if !allow.contains(&key.as_str()) {
-                return Err(invalid(
-                    "backend",
-                    format!(
-                        "unknown monte-carlo field `{key}` (rel_ci, max_trials, batch, ci_level)"
-                    ),
-                ));
-            }
-        }
-        let field = |key: &str| -> Result<Option<f64>> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => j
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| invalid("backend", format!("`{key}` must be a number"))),
-            }
-        };
+    /// Parse a bare kind name, a `kind` object or the nested single-key
+    /// form; omitted parameters take their defaults (step 0.05 nm,
+    /// [`McPrecision::default`]).
+    pub(crate) fn from_json(v: &Json) -> Result<Self> {
+        let (kind, p) = BACKEND_WIRE.read("backend", v)?;
         let d = McPrecision::default();
-        Ok(BackendSpec::MonteCarlo {
-            rel_ci: field("rel_ci")?.unwrap_or(d.rel_ci),
-            max_trials: field("max_trials")?.map_or(d.max_trials, |v| v as u64),
-            batch: field("batch")?.map_or(d.batch, |v| v as u32),
-            ci_level: field("ci_level")?.unwrap_or(d.level),
+        Ok(match kind {
+            "convolution" => BackendSpec::Convolution {
+                step: p.num("step")?.unwrap_or(0.05),
+            },
+            "gaussian-sum" => BackendSpec::GaussianSum,
+            _ => BackendSpec::MonteCarlo {
+                rel_ci: p.num("rel_ci")?.unwrap_or(d.rel_ci),
+                max_trials: p.int("max_trials", 0, u64::MAX)?.unwrap_or(d.max_trials),
+                batch: p
+                    .int("batch", 0, u32::MAX.into())?
+                    .map_or(d.batch, |b| b as u32),
+                ci_level: p.num("ci_level")?.unwrap_or(d.level),
+            },
         })
     }
 
-    pub(crate) fn from_json(v: &Json) -> Result<Self> {
-        match v {
-            Json::Str(s) => match s.as_str() {
-                "convolution" => Ok(BackendSpec::Convolution { step: 0.05 }),
-                "gaussian-sum" => Ok(BackendSpec::GaussianSum),
-                "monte-carlo" => Ok(mc_backend_defaults()),
-                other => Err(invalid(
-                    "backend",
-                    format!("unknown backend `{other}` (convolution, gaussian-sum, monte-carlo)"),
-                )),
-            },
-            Json::Obj(fields) => {
-                // Nested single-key form: { "monte-carlo": { "rel_ci": … } }.
-                if fields.len() == 1 && fields[0].0 == "monte-carlo" {
-                    return Self::mc_from_fields(
-                        &fields[0].1,
-                        &["rel_ci", "max_trials", "batch", "ci_level"],
-                    );
-                }
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| invalid("backend", "object form needs a `kind` string"))?;
-                match kind {
-                    "convolution" => Ok(BackendSpec::Convolution {
-                        step: v.get("step").and_then(Json::as_f64).unwrap_or(0.05),
-                    }),
-                    "gaussian-sum" => Ok(BackendSpec::GaussianSum),
-                    "monte-carlo" => Self::mc_from_fields(
-                        v,
-                        &["kind", "rel_ci", "max_trials", "batch", "ci_level"],
-                    ),
-                    other => Err(invalid("backend", format!("unknown backend `{other}`"))),
-                }
-            }
-            _ => Err(invalid("backend", "must be a string or an object")),
-        }
-    }
-
     fn to_json(self) -> Json {
+        let num = Json::Num;
         match self {
-            BackendSpec::Convolution { step } => Json::Obj(vec![
-                ("kind".into(), Json::Str("convolution".into())),
-                ("step".into(), Json::Num(step)),
-            ]),
-            BackendSpec::GaussianSum => Json::Str("gaussian-sum".into()),
+            BackendSpec::Convolution { step } => {
+                BACKEND_WIRE.write("convolution", vec![("step", num(step))])
+            }
+            BackendSpec::GaussianSum => BACKEND_WIRE.write("gaussian-sum", vec![]),
             BackendSpec::MonteCarlo {
                 rel_ci,
                 max_trials,
                 batch,
                 ci_level,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("monte-carlo".into())),
-                ("rel_ci".into(), Json::Num(rel_ci)),
-                ("max_trials".into(), Json::Num(max_trials as f64)),
-                ("batch".into(), Json::Num(f64::from(batch))),
-                ("ci_level".into(), Json::Num(ci_level)),
-            ]),
+            } => BACKEND_WIRE.write(
+                "monte-carlo",
+                vec![
+                    ("rel_ci", num(rel_ci)),
+                    ("max_trials", num(max_trials as f64)),
+                    ("batch", num(f64::from(batch))),
+                    ("ci_level", num(ci_level)),
+                ],
+            ),
         }
     }
 }
+
+/// The wire table of [`BackendSpec`]: its kinds and their parameters.
+const BACKEND_WIRE: Tagged = Tagged {
+    kinds: &BackendSpec::KINDS,
+    params: &[
+        &["step"],
+        &[],
+        &["rel_ci", "max_trials", "batch", "ci_level"],
+    ],
+};
 
 /// How `M_min` (the minimum-sized-device count) is determined.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -507,24 +458,16 @@ impl PuritySpec {
     /// for unknown modes, parameters, or malformed distributions.
     pub fn from_json(v: &Json) -> Result<Self> {
         match v {
-            Json::Obj(fields) if v.get("mode").is_some() => {
-                const ALLOW: [&str; 2] = ["mode", "dist"];
-                for (key, _) in fields {
-                    if !ALLOW.contains(&key.as_str()) {
-                        return Err(crate::builder::unknown_key("purity", key, &ALLOW));
-                    }
-                }
-                let mode = v
-                    .get("mode")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| invalid("purity", "`mode` must be a string (short, removal)"))?;
+            Json::Obj(_) if v.get("mode").is_some() => {
+                let p = Obj::new(v, Owner::Field("purity"), &["mode", "dist"])?;
+                let mode = p.req("mode", Obj::str)?;
                 let mode = PurityMode::parse(mode).ok_or_else(|| {
                     invalid(
                         "purity",
                         format!("unknown purity mode `{mode}` (short, removal)"),
                     )
                 })?;
-                let dist = match v.get("dist") {
+                let dist = match p.get("dist") {
                     None => DistSpec::Fixed(1.0),
                     Some(d) => knob::dist_from_json("purity", d)?,
                 };
@@ -579,140 +522,56 @@ impl PuritySpec {
 /// unknown kinds/fields or mistyped parameters. Parameter *domains* are
 /// checked by [`ScenarioSpec::validate`], not here.
 pub fn redundancy_from_json(v: &Json) -> Result<RedundancyScheme> {
-    let count = |v: &Json, kind: &'static str, key: &'static str| -> Result<Option<u64>> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0 && *n <= 1e15)
-                .map(|n| Some(n as u64))
-                .ok_or_else(|| {
-                    invalid(
-                        "redundancy",
-                        format!("{kind} `{key}` must be a non-negative integer"),
-                    )
-                }),
-        }
-    };
-    let require = |field: Option<u64>, kind: &'static str, key: &'static str| {
-        field.ok_or_else(|| invalid("redundancy", format!("{kind} needs `{key}`")))
-    };
-    let from_fields = |kind: &str, v: &Json, allow: &[&'static str]| -> Result<RedundancyScheme> {
-        let fields = v.as_object().ok_or_else(|| {
-            invalid(
-                "redundancy",
-                format!("`{kind}` parameters must be an object"),
-            )
-        })?;
-        for (key, _) in fields {
-            if !allow.contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key("redundancy", key, allow));
-            }
-        }
-        match kind {
-            "none" => Ok(RedundancyScheme::None),
-            "tmr" => Ok(RedundancyScheme::Tmr),
-            "spare-units" => Ok(RedundancyScheme::SpareUnits {
-                spares: require(count(v, "spare-units", "spares")?, "spare-units", "spares")?,
-                unit_size: require(
-                    count(v, "spare-units", "unit_size")?,
-                    "spare-units",
-                    "unit_size",
-                )?,
-            }),
-            "repairable-tile" => Ok(RedundancyScheme::RepairableTile {
-                tiles: require(
-                    count(v, "repairable-tile", "tiles")?,
-                    "repairable-tile",
-                    "tiles",
-                )?,
-                spare_tiles: require(
-                    count(v, "repairable-tile", "spare_tiles")?,
-                    "repairable-tile",
-                    "spare_tiles",
-                )?,
-                test_coverage: match v.get("test_coverage") {
-                    None => 1.0,
-                    Some(j) => j
-                        .as_f64()
-                        .ok_or_else(|| invalid("redundancy", "`test_coverage` must be a number"))?,
-                },
-            }),
-            other => Err(crate::builder::unknown_key(
-                "redundancy",
-                other,
-                &RedundancyScheme::KINDS,
-            )),
-        }
-    };
-    match v {
-        Json::Str(s) => match s.as_str() {
-            "none" => Ok(RedundancyScheme::None),
-            "tmr" => Ok(RedundancyScheme::Tmr),
-            "spare-units" | "repairable-tile" => Err(invalid(
-                "redundancy",
-                format!("`{s}` needs parameters (use the object form)"),
-            )),
-            other => Err(crate::builder::unknown_key(
-                "redundancy",
-                other,
-                &RedundancyScheme::KINDS,
-            )),
+    let (kind, p) = REDUNDANCY_WIRE.read("redundancy", v)?;
+    let count = |key| p.req(key, |p, k| p.int(k, 0, 1_000_000_000_000_000));
+    Ok(match kind {
+        "none" => RedundancyScheme::None,
+        "tmr" => RedundancyScheme::Tmr,
+        "spare-units" => RedundancyScheme::SpareUnits {
+            spares: count("spares")?,
+            unit_size: count("unit_size")?,
         },
-        Json::Obj(fields) => {
-            // Nested single-key form: { "spare-units": { "spares": … } }.
-            if fields.len() == 1 && RedundancyScheme::KINDS.contains(&fields[0].0.as_str()) {
-                let params = match fields[0].0.as_str() {
-                    "spare-units" => &["spares", "unit_size"][..],
-                    "repairable-tile" => &["tiles", "spare_tiles", "test_coverage"][..],
-                    _ => &[][..],
-                };
-                return from_fields(&fields[0].0, &fields[0].1, params);
-            }
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| invalid("redundancy", "object form needs a `kind` string"))?;
-            let params = match kind {
-                "none" | "tmr" => &["kind"][..],
-                "spare-units" => &["kind", "spares", "unit_size"][..],
-                "repairable-tile" => &["kind", "tiles", "spare_tiles", "test_coverage"][..],
-                other => {
-                    return Err(crate::builder::unknown_key(
-                        "redundancy",
-                        other,
-                        &RedundancyScheme::KINDS,
-                    ))
-                }
-            };
-            from_fields(kind, v, params)
-        }
-        _ => Err(invalid("redundancy", "must be a string or an object")),
-    }
+        _ => RedundancyScheme::RepairableTile {
+            tiles: count("tiles")?,
+            spare_tiles: count("spare_tiles")?,
+            test_coverage: p.num("test_coverage")?.unwrap_or(1.0),
+        },
+    })
 }
+
+/// The wire table of [`RedundancyScheme`]: its kinds and their parameters.
+const REDUNDANCY_WIRE: Tagged = Tagged {
+    kinds: &RedundancyScheme::KINDS,
+    params: &[
+        &[],
+        &[],
+        &["spares", "unit_size"],
+        &["tiles", "spare_tiles", "test_coverage"],
+    ],
+};
 
 /// Serialize a [`RedundancyScheme`] to its normal wire form: a bare kind
 /// string for the parameterless schemes, a tagged `kind` object otherwise.
 /// Round-trips exactly through [`redundancy_from_json`].
 pub fn redundancy_to_json(s: &RedundancyScheme) -> Json {
-    match *s {
-        RedundancyScheme::None | RedundancyScheme::Tmr => Json::Str(s.name().into()),
-        RedundancyScheme::SpareUnits { spares, unit_size } => Json::Obj(vec![
-            ("kind".into(), Json::Str(s.name().into())),
-            ("spares".into(), Json::Num(spares as f64)),
-            ("unit_size".into(), Json::Num(unit_size as f64)),
-        ]),
+    let num = Json::Num;
+    let params = match *s {
+        RedundancyScheme::None | RedundancyScheme::Tmr => vec![],
+        RedundancyScheme::SpareUnits { spares, unit_size } => vec![
+            ("spares", num(spares as f64)),
+            ("unit_size", num(unit_size as f64)),
+        ],
         RedundancyScheme::RepairableTile {
             tiles,
             spare_tiles,
             test_coverage,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str(s.name().into())),
-            ("tiles".into(), Json::Num(tiles as f64)),
-            ("spare_tiles".into(), Json::Num(spare_tiles as f64)),
-            ("test_coverage".into(), Json::Num(test_coverage)),
-        ]),
-    }
+        } => vec![
+            ("tiles", num(tiles as f64)),
+            ("spare_tiles", num(spare_tiles as f64)),
+            ("test_coverage", num(test_coverage)),
+        ],
+    };
+    REDUNDANCY_WIRE.write(s.name(), params)
 }
 
 /// One declarative yield scenario.
@@ -878,14 +737,9 @@ impl ScenarioSpec {
     /// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`] for
     /// unknown fields, wrong types, or out-of-domain values.
     pub fn from_json(v: &Json) -> Result<Self> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| invalid("scenario", "must be an object"))?;
-        let mut builder = crate::builder::ScenarioBuilder::new("scenario");
-        for (key, value) in fields {
-            builder = builder.set_json(key, value)?;
-        }
-        builder.build()
+        ScenarioBuilder::new("scenario")
+            .merge_json(v, "scenario")?
+            .build()
     }
 
     /// True if any knob carries a non-degenerate distribution — i.e. the
@@ -1030,26 +884,14 @@ impl ScenarioGrid {
     /// fields (with nearest-key suggestions),
     /// [`PipelineError::InvalidSpec`] for bad fields or an empty grid.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        const SECTIONS: [&str; 4] = ["defaults", "axes", "scenarios", "name"];
-        for (key, _) in doc
-            .as_object()
-            .ok_or_else(|| invalid("grid", "document must be an object"))?
-        {
-            if !SECTIONS.contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key("grid", key, &SECTIONS));
-            }
-        }
-
-        let mut base = crate::builder::ScenarioBuilder::new(
-            doc.get("name").and_then(Json::as_str).unwrap_or("scenario"),
-        );
+        let doc = Obj::new(
+            doc,
+            Owner::Doc("grid"),
+            &["defaults", "axes", "scenarios", "name"],
+        )?;
+        let mut base = ScenarioBuilder::new(doc.str("name")?.unwrap_or("scenario"));
         if let Some(defaults) = doc.get("defaults") {
-            let fields = defaults
-                .as_object()
-                .ok_or_else(|| invalid("defaults", "must be an object"))?;
-            for (key, value) in fields {
-                base = base.set_json(key, value)?;
-            }
+            base = base.merge_json(defaults, "defaults")?;
         }
         // Merging is not yet validation: each finished scenario validates
         // once below, after axes/explicit fields are applied over the
@@ -1086,7 +928,7 @@ impl ScenarioGrid {
                     .collect();
             }
             for combo in combos {
-                let mut builder = crate::builder::ScenarioBuilder::from_spec(base.clone());
+                let mut builder = ScenarioBuilder::from_spec(base.clone());
                 let mut parts = vec![base.name.clone()];
                 for (key, value) in &combo {
                     builder = builder.set_json(key, value)?;
@@ -1101,14 +943,9 @@ impl ScenarioGrid {
                 .as_array()
                 .ok_or_else(|| invalid("scenarios", "must be an array"))?;
             for (i, item) in items.iter().enumerate() {
-                let fields = item
-                    .as_object()
-                    .ok_or_else(|| invalid("scenarios", "each entry must be an object"))?;
-                let mut builder = crate::builder::ScenarioBuilder::from_spec(base.clone())
-                    .name(format!("{}/{}", base.name, i));
-                for (key, value) in fields {
-                    builder = builder.set_json(key, value)?;
-                }
+                let builder = ScenarioBuilder::from_spec(base.clone())
+                    .name(format!("{}/{}", base.name, i))
+                    .merge_json(item, "scenarios")?;
                 scenarios.push(builder.build()?);
             }
         }
@@ -1261,6 +1098,11 @@ mod tests {
             ScenarioGrid::parse(r#"{ "scenarios": [ { "yield_target": 2.0 } ] }"#).is_err(),
             "out-of-domain yield"
         );
+        // A mistyped name once fell back to "scenario" silently.
+        assert!(matches!(
+            ScenarioGrid::parse(r#"{ "name": 5, "scenarios": [ {} ] }"#),
+            Err(PipelineError::InvalidSpec { field: "name", .. })
+        ));
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! fields, where one expensive die evaluation — a Monte-Carlo redundancy
 //! compose — serves every die that shares its tuple.
 
-use crate::builder::unknown_key;
+use crate::builder::ScenarioBuilder;
 use crate::engine::Pipeline;
-use crate::json::Json;
+use crate::json::{Json, Obj, Owner};
 use crate::knob::{self, field_from_json, field_to_json};
 use crate::report::artifact_stem;
 use crate::spec::{MminSpec, RhoSpec, ScenarioSpec};
@@ -149,73 +149,40 @@ impl WaferSpec {
     /// distribution kinds (with nearest-candidate suggestions),
     /// [`PipelineError::InvalidSpec`] for bad values.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        for (key, _) in doc
-            .as_object()
-            .ok_or_else(|| invalid("wafer", "document must be an object"))?
-        {
-            if !WAFER_KEYS.contains(&key.as_str()) {
-                return Err(unknown_key("wafer", key, &WAFER_KEYS));
-            }
+        let doc = Obj::new(doc, Owner::Doc("wafer"), &WAFER_KEYS)?;
+        let name = doc.str("name")?.unwrap_or("wafer").to_string();
+        let diameter_dies = doc.req("diameter_dies", Obj::u64)?;
+        if !(1..=u64::from(MAX_DIAMETER_DIES)).contains(&diameter_dies) {
+            return Err(invalid(
+                "diameter_dies",
+                format!("must be an integer in [1, {MAX_DIAMETER_DIES}]"),
+            ));
         }
-        let name = match doc.get("name") {
-            None => "wafer".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| invalid("name", "must be a string"))?
-                .to_string(),
-        };
-        let diameter_dies = doc
-            .get("diameter_dies")
-            .ok_or_else(|| invalid("diameter_dies", "a wafer spec needs `diameter_dies`"))?
-            .as_u64()
-            .filter(|d| (1..=u64::from(MAX_DIAMETER_DIES)).contains(d))
-            .ok_or_else(|| {
-                invalid(
-                    "diameter_dies",
-                    format!("must be an integer in [1, {MAX_DIAMETER_DIES}]"),
-                )
-            })? as u32;
-        let seed = match doc.get("seed") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| invalid("seed", "must be a non-negative integer"))?,
-            ),
-        };
+        let seed = doc.u64("seed")?;
         // The base scenario keeps its own name (it round-trips through
         // `ScenarioSpec::to_json`); it defaults to the wafer's name only
         // when the document does not set one.
-        let mut builder = crate::builder::ScenarioBuilder::new(name.clone());
+        let mut builder = ScenarioBuilder::new(name.clone());
         if let Some(base) = doc.get("base") {
-            let fields = base
-                .as_object()
-                .ok_or_else(|| invalid("base", "must be an object"))?;
-            for (key, value) in fields {
-                builder = builder.set_json(key, value)?;
-            }
+            builder = builder.merge_json(base, "base")?;
         }
         let base = builder.build()?;
 
         let mut fields: [Option<FieldSpec>; 4] = [None, None, None, None];
         if let Some(v) = doc.get("fields") {
-            let entries = v
-                .as_object()
-                .ok_or_else(|| invalid("fields", "must be an object"))?;
-            for (key, value) in entries {
-                let knob = knob::STOCHASTIC_KNOBS
-                    .iter()
-                    .position(|k| k == key)
-                    .ok_or_else(|| unknown_key("fields", key, &knob::STOCHASTIC_KNOBS))?;
-                // The three knobs share one static context label each so
-                // diagnostics can say which knob's field failed.
-                let context = knob::STOCHASTIC_KNOBS[knob];
-                fields[knob] = Some(field_from_json(context, value)?);
+            let entries = Obj::new(v, Owner::Field("fields"), &knob::STOCHASTIC_KNOBS)?;
+            // Each knob's own name labels its field's diagnostics.
+            for (slot, knob) in fields.iter_mut().zip(knob::STOCHASTIC_KNOBS) {
+                *slot = entries
+                    .get(knob)
+                    .map(|v| field_from_json(knob, v))
+                    .transpose()?;
             }
         }
 
         let spec = Self {
             name,
-            diameter_dies,
+            diameter_dies: diameter_dies as u32,
             seed,
             base,
             fields,

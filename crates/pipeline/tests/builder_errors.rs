@@ -37,11 +37,20 @@ fn every_field_arm_rejects_mistyped_values_as_bad_spec() {
         ("node_nm", r#""wide""#, "must be a number"),
         ("yield_target", "true", "must be a number"),
         ("backend", "9", "must be a string or an object"),
-        ("backend", r#""quantum""#, "unknown backend"),
         (
             "backend",
-            r#"{ "kind": "monte-carlo", "trials": 5 }"#,
-            "unknown monte-carlo field",
+            r#"{ "kind": "convolution", "step": "x" }"#,
+            "`step` must be a number",
+        ),
+        (
+            "backend",
+            r#"{ "monte-carlo": { "batch": 200.7 } }"#,
+            "`batch` must be an integer",
+        ),
+        (
+            "backend",
+            r#"{ "kind": "monte-carlo", "max_trials": 50000.5 }"#,
+            "`max_trials` must be an integer",
         ),
         ("m_transistors", r#""many""#, "must be a number"),
         (
@@ -54,7 +63,11 @@ fn every_field_arm_rejects_mistyped_values_as_bad_spec() {
         ("l_cnt_um", r#""long""#, "must be a number"),
         ("grid", r#""triple""#, "\"single\" or \"dual\""),
         ("fast_design", r#""yes""#, "must be a boolean"),
-        ("mc_trials", r#""lots""#, "must be a number"),
+        ("mc_trials", r#""lots""#, "must be an integer"),
+        // Once truncated to 4294967295, 0 and 2 without an error.
+        ("mc_trials", "1e10", "must be an integer in [0, 4294967295]"),
+        ("mc_trials", "-5", "must be an integer in [0, 4294967295]"),
+        ("mc_trials", "2.5", "must be an integer in [0, 4294967295]"),
     ];
     for (key, value, fragment) in cases {
         let err = set(key, value).unwrap_err();
@@ -63,10 +76,9 @@ fn every_field_arm_rejects_mistyped_values_as_bad_spec() {
             "`{key}` = {value}: message `{err}` must contain `{fragment}`"
         );
         match code(&err) {
-            ErrorCode::BadSpec { field } => assert!(
-                !field.is_empty(),
-                "`{key}` must map to bad_spec with a named field"
-            ),
+            ErrorCode::BadSpec { field } => {
+                assert_eq!(field, key, "`{key}` = {value} must name its own field")
+            }
             other => panic!("`{key}` = {value} must map to bad_spec, got {other:?}"),
         }
     }
@@ -104,18 +116,59 @@ fn every_domain_violation_is_caught_at_build() {
 #[test]
 fn unknown_keys_map_to_unknown_key_with_the_documented_suggestion() {
     // The satellite contract: the Levenshtein suggestion is part of the
-    // error surface, both structured and in display text.
+    // error surface, both structured and in display text. Each case is
+    // (scenario field, value, the unknown key, its suggestion).
     let cases = [
-        ("yeild_target", Some("yield_target")),
-        ("corelation", Some("correlation")),
-        ("nodenm", Some("node_nm")),
-        ("l_cnt_un", Some("l_cnt_um")),
-        ("backened", Some("backend")),
-        ("fastdesign", Some("fast_design")),
-        ("zzzzzzzzzz", None), // hopeless typos get no guess
+        ("yeild_target", "1", "yeild_target", Some("yield_target")),
+        ("corelation", "1", "corelation", Some("correlation")),
+        ("nodenm", "1", "nodenm", Some("node_nm")),
+        ("l_cnt_un", "1", "l_cnt_un", Some("l_cnt_um")),
+        ("backened", "1", "backened", Some("backend")),
+        ("fastdesign", "1", "fastdesign", Some("fast_design")),
+        ("zzzzzzzzzz", "1", "zzzzzzzzzz", None), // hopeless typos get no guess
+        // Unknown back-end kinds and parameters, as for the other tagged
+        // types (these two once answered bad_spec).
+        ("backend", r#""quantum""#, "quantum", None),
+        (
+            "backend",
+            r#"{ "kind": "monte-carlo", "trials": 5 }"#,
+            "trials",
+            None,
+        ),
+        (
+            "backend",
+            r#""monte-carl""#,
+            "monte-carl",
+            Some("monte-carlo"),
+        ),
+        // Once ignored: the run kept step 0.05, p_rm = 1.
+        (
+            "backend",
+            r#"{ "kind": "convolution", "stepp": 0.1 }"#,
+            "stepp",
+            Some("step"),
+        ),
+        (
+            "backend",
+            r#"{ "kind": "gaussian-sum", "step": 0.1 }"#,
+            "step",
+            None,
+        ),
+        (
+            "backend",
+            r#"{ "gaussian-sum": { "rel_ci": 0.1 } }"#,
+            "rel_ci",
+            None,
+        ),
+        (
+            "corner",
+            r#"{ "pm": 0.33, "p_rs": 0.3, "prm": 0.5 }"#,
+            "prm",
+            Some("pm"),
+        ),
     ];
-    for (key, expected) in cases {
-        let err = set(key, "1").unwrap_err();
+    for (field, value, key, expected) in cases {
+        let err = set(field, value).unwrap_err();
         match &err {
             PipelineError::UnknownKey {
                 key: got,
@@ -220,7 +273,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
     let bad = [
         (
             r#"{ "genetic": { "population": 1 } }"#,
-            "`population` must be an integer >= 2",
+            "`population` must be an integer in [2, 1000000]",
         ),
         (
             r#"{ "genetic": { "population": 2.5 } }"#,
@@ -232,7 +285,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
         ),
         (
             r#"{ "genetic": { "mutation_rate": "high" } }"#,
-            "`mutation_rate` must be a number in [0, 1]",
+            "`mutation_rate` must be a number",
         ),
         (
             r#"{ "kind": "genetic", "population": 4, "tournament_k": 9 }"#,
@@ -242,7 +295,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
         // parse error, not a degenerate search.
         (
             r#"{ "halving": { "rungs": 0 } }"#,
-            "`rungs` must be an integer >= 1",
+            "`rungs` must be an integer in [1, 1000000]",
         ),
         (
             r#"{ "halving": { "eta": 1 } }"#,
@@ -266,7 +319,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
         ),
         (
             r#"{ "grid": {}, "genetic": {} }"#,
-            "needs a `kind` string or a single strategy key",
+            "needs a `kind` string or a single kind key",
         ),
     ];
     for (form, fragment) in bad {

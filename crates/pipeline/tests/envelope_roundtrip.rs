@@ -4,11 +4,13 @@
 
 use cnfet_pipeline::{
     BackendSpec, CoOptReport, CoOptSpec, CorrelationSpec, ErrorCode, Json, LibrarySpec,
-    McBackendReport, ParetoFront, ParetoPoint, ResponseBody, RungReport, ScenarioGrid,
-    ScenarioReport, ScenarioSpec, SearchAxis, SearchReport, SearcherSpec, ServiceError,
-    ServiceInfo, YieldRequest, YieldResponse, YieldService, SCHEMA_VERSION,
+    McBackendReport, ParetoFront, ParetoPoint, ResponseBody, RungReport, ScenarioBuilder,
+    ScenarioGrid, ScenarioReport, ScenarioSpec, SearchAxis, SearchReport, SearcherSpec,
+    ServiceError, ServiceInfo, YieldRequest, YieldResponse, YieldService, SCHEMA_VERSION,
 };
 use proptest::prelude::*;
+
+mod common;
 
 /// Build a string from palette indices; the palette exercises JSON
 /// escaping (quotes, backslashes, control and non-ASCII characters).
@@ -183,6 +185,19 @@ proptest! {
         let back = YieldRequest::from_json(&Json::parse(&wire).unwrap())
             .map_err(|e| TestCaseError::fail(format!("{e} for {wire}")))?;
         prop_assert_eq!(back, request);
+        // The back-end and the searcher decode to the same value from
+        // every wire form.
+        let s = spec(&name, node, target, backend);
+        for form in common::three_forms(s.to_json().get("backend").unwrap()) {
+            let back = ScenarioBuilder::from_spec(s.clone())
+                .set_json("backend", &form)
+                .map_err(|e| TestCaseError::fail(format!("{e} for {form:?}")))?;
+            prop_assert_eq!(back.spec(), &s);
+        }
+        let searcher = searcher_spec(workers);
+        for form in common::three_forms(&searcher.to_json()) {
+            prop_assert_eq!(SearcherSpec::from_json(&form).unwrap(), searcher.clone());
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@ use cnfet_pipeline::{
 use cnt_stats::DistSpec;
 use proptest::prelude::*;
 
+mod common;
+
 /// A generated purity spec from plain scalars (kept in the knob's wire
 /// domain so validation never interferes with the round-trip property).
 fn purity(mode: bool, kind: usize, a: f64, b: f64) -> PuritySpec {
@@ -83,6 +85,10 @@ proptest! {
             redundancy_to_json(&back).to_string_pretty(),
             wire.to_string_pretty()
         );
+        // Every wire form decodes to the same scheme.
+        for form in common::three_forms(&wire) {
+            prop_assert_eq!(redundancy_from_json(&form).unwrap(), scheme);
+        }
     }
 
     #[test]
@@ -156,6 +162,16 @@ fn typos_carry_suggestions() {
         "got {err:?}"
     );
     assert!(err.to_string().contains("did you mean `tmr`?"), "{err}");
+    // The nested form's kind gets the same suggestion (it once answered
+    // bad_spec: "object form needs a `kind` string").
+    let err = redundancy_from_json(&Json::parse(r#"{ "tmrr": {} }"#).unwrap()).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            PipelineError::UnknownKey { key, suggestion: Some(s), .. } if key == "tmrr" && s == "tmr"
+        ),
+        "got {err:?}"
+    );
 
     // Unknown scheme parameter → nearest parameter name.
     let err = redundancy_from_json(
@@ -176,5 +192,5 @@ fn typos_carry_suggestions() {
     let err = ScenarioBuilder::new("t")
         .set_json("redundancy", &Json::Str("spare-units".into()))
         .unwrap_err();
-    assert!(err.to_string().contains("parameters"), "{err}");
+    assert!(err.to_string().contains("missing `spares`"), "{err}");
 }

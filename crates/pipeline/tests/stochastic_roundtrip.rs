@@ -12,6 +12,8 @@ use cnfet_pipeline::{
 use cnt_stats::{DistSpec, FieldSpec};
 use proptest::prelude::*;
 
+mod common;
+
 /// A valid `DistSpec` of the chosen kind, parameterized so every variant
 /// is exercised. Bounds keep the parameters inside each sampler's domain
 /// (positive `sd`/`sigma`, `lo < mean < hi`).
@@ -50,6 +52,20 @@ proptest! {
         // Fixed must stay a bare number on the wire (scalar back-compat).
         if kind % 5 == 0 {
             prop_assert!(!wire.contains('{'), "Fixed must serialize scalar: {}", wire);
+        }
+        // Every object form decodes to the same value; a bare number is
+        // `fixed`'s `value`.
+        let normal = match dist_to_json(&spec) {
+            Json::Num(v) => Json::Obj(vec![
+                ("kind".into(), Json::Str("fixed".into())),
+                ("value".into(), Json::Num(v)),
+            ]),
+            normal => normal,
+        };
+        for form in common::three_forms(&normal) {
+            let back = dist_from_json("density", &form)
+                .map_err(|e| TestCaseError::fail(format!("{e} for {form:?}")))?;
+            prop_assert_eq!(back, spec);
         }
     }
 

@@ -35,8 +35,8 @@
 //!   --backend <b>     (sweep) override every scenario's count back-end:
 //!                     convolution | gaussian-sum | monte-carlo, or a JSON
 //!                     object, e.g. '{"monte-carlo": {"rel_ci": 0.05}}'
-//!   --workers <n>     (sweep, coopt, wafer, serve) worker threads; wall-clock
-//!                     only, never results
+//!   --workers <n>     (sweep, coopt, wafer, serve) worker threads, 1 to 64;
+//!                     wall-clock only, never results
 //!   --curve-cache <n> (serve) LRU capacity of each shard's pF(W) curve cache
 //!   --shards <n>      (serve) service shards behind the deterministic router;
 //!                     wall-clock/interleaving only, never response bytes
@@ -67,6 +67,7 @@ mod table1;
 mod table2;
 mod wafer;
 
+use cnfet_pipeline::MAX_WORKERS;
 use common::{ReproError, RunContext};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -138,9 +139,16 @@ fn parse_cli(args: &[String]) -> common::Result<Cli> {
             }
             "--workers" => {
                 let v = value("--workers")?;
-                cli.workers = Some(v.parse().map_err(|_| {
-                    ReproError::Usage(format!("--workers expects a positive integer, got `{v}`"))
-                })?);
+                let workers = v
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=MAX_WORKERS).contains(n))
+                    .ok_or_else(|| {
+                        ReproError::Usage(format!(
+                            "--workers expects an integer from 1 to {MAX_WORKERS}, got `{v}`"
+                        ))
+                    })?;
+                cli.workers = Some(workers);
             }
             "--backend" => cli.backend = Some(value("--backend")?),
             "--curve-cache" => {

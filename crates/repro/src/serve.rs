@@ -105,9 +105,6 @@ mod sigterm {
 pub fn run(options: &ServeOptions) -> Result<()> {
     let mut config = ServiceConfig::default();
     if let Some(workers) = options.workers {
-        if workers == 0 {
-            return Err(ReproError::Usage("--workers must be >= 1".into()));
-        }
         config.sweep_workers = workers;
     }
     if let Some(capacity) = options.curve_cache {

@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Run `repro serve` with `args`, feed it the bytes of `input`, return
 /// its stdout.
@@ -110,8 +111,13 @@ fn serve_survives_garbage_and_answers_structured_errors() {
     // `bad_request` under the empty id and nothing more. A shorts-mode
     // fault evaluate whose per-cell budget underflows to 0 once panicked
     // its shard, and the same-id `describe` queued behind it was never
-    // answered.
+    // answered. A string of 4 MiB once took the parser minutes (each
+    // character re-checked the rest of the line), stalling every client.
     let deep = "[".repeat(200_000);
+    let long = format!(
+        r#"{{"schema":1,"id":"long","pad":"{}","body":"describe"}}"#,
+        "x".repeat(4 << 20)
+    );
     let script = [
         b"not json at all".as_slice(),
         br#"{"schema":1,"id":"bad-spec","body":{"evaluate":{"spec":{"yield_target":2.0}}}}"#,
@@ -121,13 +127,17 @@ fn serve_survives_garbage_and_answers_structured_errors() {
         b"\xff\xfe not utf-8 \xc3\x28",
         br#"{"schema":1,"id":"zero-budget","body":{"evaluate":{"spec":{"fast_design":true,"backend":"gaussian-sum","rho":"paper","purity":0.999999,"redundancy":"none","yield_target":0.9999999999,"m_transistors":1e9},"seed":1}}}"#,
         br#"{"schema":1,"id":"zero-budget","body":"describe"}"#,
+        long.as_bytes(),
+        br#"{"schema":1,"body":"describe"}"#,
+        br#"{"schema":1,"id":"backend-typo","body":{"evaluate":{"spec":{"backend":"monte-carl"}}}}"#,
+        br#"{"schema":1,"id":"corner-typo","body":{"evaluate":{"spec":{"corner":{"pm":0.33,"p_rs":0.3,"prm":0.5}}}}}"#,
         br#"{"schema":1,"id":"still-up","body":"describe"}"#,
         b"",
     ]
     .join(&b'\n');
     let stdout = serve_session(&["--shards", "1"], &script);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 9, "stdout:\n{stdout}");
+    assert_eq!(lines.len(), 13, "stdout:\n{stdout}");
     assert!(lines[0].contains(r#""code":"bad_request""#));
     assert!(lines[1].contains(r#""code":"bad_spec""#));
     assert!(lines[1].contains(r#""field":"yield_target""#));
@@ -152,9 +162,70 @@ fn serve_survives_garbage_and_answers_structured_errors() {
     assert_eq!(response_id(lines[6]), "zero-budget");
     assert!(lines[7].contains(r#""describe""#));
     assert_eq!(response_id(lines[7]), "zero-budget");
-    // The daemon is still alive and serving after seven failures.
-    assert!(lines[8].contains(r#""describe""#));
-    assert_eq!(response_id(lines[8]), "still-up");
+    assert!(
+        lines[8].contains(r#""code":"unknown_key","key":"pad""#),
+        "line: {}",
+        lines[8]
+    );
+    assert_eq!(response_id(lines[8]), "long");
+    // An envelope without an id is malformed: bad_request, not bad_spec.
+    assert!(
+        lines[9].contains(r#""code":"bad_request""#),
+        "line: {}",
+        lines[9]
+    );
+    assert_eq!(response_id(lines[9]), "");
+    assert!(
+        lines[10].contains(r#""code":"unknown_key","key":"monte-carl","suggestion":"monte-carlo""#),
+        "line: {}",
+        lines[10]
+    );
+    assert!(
+        lines[11].contains(r#""code":"unknown_key","key":"prm","suggestion":"pm""#),
+        "line: {}",
+        lines[11]
+    );
+    // The daemon is still alive and serving after eleven failures.
+    assert!(lines[12].contains(r#""describe""#));
+    assert_eq!(response_id(lines[12]), "still-up");
+}
+
+#[test]
+fn serve_rejects_out_of_range_workers_before_reading_stdin() {
+    // `--workers` becomes the default of every request that omits
+    // `workers`, so it has the same bound as the wire field.
+    for workers in ["0", "65", "100000"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["serve", "--workers", workers])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn repro serve");
+        // Keep stdin open: a daemon past argument parsing would wait on it.
+        let stdin = child.stdin.take();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().expect("poll repro serve").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                panic!("`--workers {workers}` started the daemon");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        drop(stdin);
+        let out = child.wait_with_output().expect("collect output");
+        assert!(!out.status.success(), "`--workers {workers}` must fail");
+        assert!(
+            out.stdout.is_empty(),
+            "`--workers {workers}` answered requests"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--workers expects an integer from 1 to 64")
+                && stderr.contains("usage:"),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -269,4 +269,16 @@ fn bad_flag_values_fail_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--seed"), "stderr: {stderr}");
     assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    // `--workers` is bounded like the wire field, before any work starts.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["sweep", "missing-grid.json", "--workers", "65"])
+        .output()
+        .expect("spawn repro binary");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers expects an integer from 1 to 64"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
