@@ -54,18 +54,10 @@ impl OptService {
     /// Answer one request, streaming every response through `emit`. A
     /// `co_opt` request emits exactly one response (the Pareto report or
     /// a structured error); everything else behaves exactly like
-    /// [`YieldService::stream`].
-    pub fn stream(&self, request: &YieldRequest, emit: &mut dyn FnMut(YieldResponse)) {
-        self.stream_while(request, &mut |response| {
-            emit(response);
-            true
-        });
-    }
-
-    /// The cancellation-aware form of [`OptService::stream`]: `emit`
-    /// returns `false` once the client is gone, streaming stops (and an
-    /// in-flight sweep cancels) as soon as that is observed. Returns
-    /// `false` when the exchange was aborted that way.
+    /// [`YieldService::stream_while`]: `emit` returns `false` once the
+    /// client is gone, streaming stops (and an in-flight sweep cancels) as
+    /// soon as that is observed. Returns `false` when the exchange was
+    /// aborted that way.
     pub fn stream_while(
         &self,
         request: &YieldRequest,
@@ -103,7 +95,10 @@ impl OptService {
     /// Answer one request, collecting all responses.
     pub fn handle(&self, request: &YieldRequest) -> Vec<YieldResponse> {
         let mut out = Vec::new();
-        self.stream(request, &mut |response| out.push(response));
+        self.stream_while(request, &mut |response| {
+            out.push(response);
+            true
+        });
         out
     }
 
@@ -111,8 +106,9 @@ impl OptService {
     /// input becomes a structured error response with a best-effort id) —
     /// the `repro serve` daemon loop.
     pub fn handle_line(&self, line: &str, emit: &mut dyn FnMut(YieldResponse)) {
-        cnfet_pipeline::envelope::dispatch_line(line, emit, |request, emit| {
-            self.stream(request, emit)
+        self.handle_line_while(line, &mut |response| {
+            emit(response);
+            true
         });
     }
 

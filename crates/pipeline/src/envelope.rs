@@ -28,18 +28,21 @@
 //! payloads like the nearest-key suggestion), not just prose, so
 //! co-optimization loops can branch on failure modes.
 //!
-//! Everything round-trips: `parse(to_json(x)) == x` for requests and
-//! responses alike, which the envelope property tests pin down.
+//! Requests round-trip: `YieldRequest::from_json(parse(to_json(x))) == x`,
+//! which the envelope property tests pin down. Responses are written once:
+//! each response type's `to_json` is the only definition of its format,
+//! clients read the bytes as plain [`Json`], and golden wire lines in
+//! `tests/envelope_roundtrip.rs` pin every response kind byte for byte.
 //!
 //! ## The wire format, executed
 //!
 //! The README's JSON-lines session, as a doc-test — every request line
-//! parses, dispatches, and every response serializes back through
-//! [`YieldResponse::from_json`] unchanged, so the documented format
+//! parses and dispatches, and every response is written as one line that
+//! parses back into the same [`Json`] tree, so the documented format
 //! cannot drift from the code:
 //!
 //! ```
-//! use cnfet_pipeline::{Json, ResponseBody, YieldRequest, YieldResponse, YieldService};
+//! use cnfet_pipeline::{Json, ResponseBody, YieldRequest, YieldService};
 //!
 //! # fn main() -> cnfet_pipeline::Result<()> {
 //! let service = YieldService::new();
@@ -61,7 +64,7 @@
 //!         // Serialize → parse: the response survives the wire unchanged.
 //!         let wire = response.to_json().to_string_compact();
 //!         assert!(!wire.contains('\n'), "JSON-lines responses are one line");
-//!         assert_eq!(YieldResponse::from_json(&Json::parse(&wire)?)?, response);
+//!         assert_eq!(Json::parse(&wire)?, response.to_json());
 //!         responses.push(response);
 //!     }
 //! }
@@ -84,7 +87,7 @@
 //! `wafer_report` is byte-identical for any `workers` value:
 //!
 //! ```
-//! use cnfet_pipeline::{Json, ResponseBody, YieldRequest, YieldResponse, YieldService};
+//! use cnfet_pipeline::{Json, ResponseBody, YieldRequest, YieldService};
 //!
 //! # fn main() -> cnfet_pipeline::Result<()> {
 //! let service = YieldService::new();
@@ -106,7 +109,7 @@
 //! assert!(report.min_die_yield <= report.max_die_yield);
 //! // The artifact survives the wire unchanged.
 //! let wire = responses[0].to_json().to_string_compact();
-//! assert_eq!(YieldResponse::from_json(&Json::parse(&wire)?)?, responses[0]);
+//! assert_eq!(Json::parse(&wire)?, responses[0].to_json());
 //! # Ok(())
 //! # }
 //! ```
@@ -150,13 +153,6 @@ pub const DEFAULT_SEED: u64 = 20100613;
 /// that many threads at once, so the bound is a constant rather than the
 /// core count: the same line gets the same answer on every machine.
 pub const MAX_WORKERS: usize = 64;
-
-fn bad(msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field: "envelope",
-        msg: msg.into(),
-    }
-}
 
 /// What a request asks the service to do.
 // Variant sizes track their spec payloads; requests are parsed once and
@@ -461,31 +457,12 @@ pub fn recover_id(v: &Json) -> String {
 /// front end (`YieldService::handle_line`, the `cnfet-opt` `OptService`)
 /// routes through this one implementation, so id recovery and error
 /// classification cannot diverge between them.
-pub fn dispatch_line(
-    line: &str,
-    emit: &mut dyn FnMut(YieldResponse),
-    dispatch: impl FnOnce(&YieldRequest, &mut dyn FnMut(YieldResponse)),
-) {
-    dispatch_line_while(
-        line,
-        &mut |response| {
-            emit(response);
-            true
-        },
-        |request, emit| {
-            dispatch(request, &mut |response| {
-                emit(response);
-            });
-            true
-        },
-    );
-}
-
-/// The cancellation-aware form of [`dispatch_line`]: `emit` returns
-/// `false` when the client is gone (disconnected, queue torn down), and
-/// `dispatch` is expected to stop streaming — and cancel any in-flight
-/// sweep — as soon as it sees that. Returns `false` when the exchange was
-/// aborted that way, `true` when every response was delivered.
+///
+/// `emit` returns `false` when the client is gone (disconnected, queue
+/// torn down), and `dispatch` is expected to stop streaming — and cancel
+/// any in-flight sweep — as soon as it sees that. Returns `false` when the
+/// exchange was aborted that way, `true` when every response was
+/// delivered.
 pub fn dispatch_line_while(
     line: &str,
     emit: &mut dyn FnMut(YieldResponse) -> bool,
@@ -629,62 +606,6 @@ impl ServiceError {
         fields.push(("message".into(), Json::Str(self.message.clone())));
         Json::Obj(fields)
     }
-
-    fn from_json(v: &Json) -> Result<Self> {
-        let tag = v
-            .get("code")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("error body needs a string `code`"))?;
-        let field = |key: &str| -> Result<String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("error code `{tag}` needs a string `{key}`")))
-        };
-        let code = match tag {
-            "bad_request" => ErrorCode::BadRequest,
-            "unsupported_schema" => ErrorCode::UnsupportedSchema {
-                requested: v
-                    .get("requested")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("`unsupported_schema` needs a u64 `requested`"))?,
-            },
-            "bad_spec" => ErrorCode::BadSpec {
-                field: field("field")?,
-            },
-            "unknown_key" => ErrorCode::UnknownKey {
-                key: field("key")?,
-                suggestion: match v.get("suggestion") {
-                    None => None,
-                    Some(s) => Some(
-                        s.as_str()
-                            .ok_or_else(|| bad("`suggestion` must be a string"))?
-                            .to_string(),
-                    ),
-                },
-            },
-            "unsupported_body" => ErrorCode::UnsupportedBody {
-                body: field("body")?,
-            },
-            "overloaded" => ErrorCode::Overloaded {
-                shard: v
-                    .get("shard")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("`overloaded` needs a u64 `shard`"))?,
-            },
-            "unconverged" => ErrorCode::Unconverged,
-            "internal" => ErrorCode::Internal,
-            other => return Err(bad(format!("unknown error code `{other}`"))),
-        };
-        Ok(Self {
-            code,
-            message: v
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        })
-    }
 }
 
 /// Capability discovery payload — the `describe` answer.
@@ -785,9 +706,7 @@ impl ServiceInfo {
             ..Self::default()
         }
     }
-}
 
-impl ServiceInfo {
     /// Serialize to the wire object.
     fn to_json(&self) -> Json {
         let strings =
@@ -811,52 +730,6 @@ impl ServiceInfo {
             ("coopt_keys".into(), strings(&self.coopt_keys)),
             ("searchers".into(), strings(&self.searchers)),
         ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self> {
-        let strings = |key: &str| -> Result<Vec<String>> {
-            v.get(key)
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad(format!("describe body needs an array `{key}`")))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| bad(format!("`{key}` entries must be strings")))
-                })
-                .collect()
-        };
-        let text = |key: &str| -> Result<String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("describe body needs a string `{key}`")))
-        };
-        Ok(Self {
-            service: text("service")?,
-            version: text("version")?,
-            schemas: v
-                .get("schemas")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad("describe body needs an array `schemas`"))?
-                .iter()
-                .map(|s| {
-                    s.as_u64()
-                        .ok_or_else(|| bad("`schemas` entries must be non-negative integers"))
-                })
-                .collect::<Result<_>>()?,
-            requests: strings("requests")?,
-            backends: strings("backends")?,
-            correlations: strings("correlations")?,
-            libraries: strings("libraries")?,
-            scenario_keys: strings("scenario_keys")?,
-            dist_kinds: strings("dist_kinds")?,
-            redundancy_kinds: strings("redundancy_kinds")?,
-            purity_modes: strings("purity_modes")?,
-            wafer_keys: strings("wafer_keys")?,
-            coopt_keys: strings("coopt_keys")?,
-            searchers: strings("searchers")?,
-        })
     }
 }
 
@@ -959,62 +832,6 @@ impl YieldResponse {
             ("id".into(), Json::Str(self.id.clone())),
             ("body".into(), body),
         ])
-    }
-
-    /// Parse a response envelope (the client half of the wire contract).
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on malformed envelopes.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("response needs a non-negative integer `schema`"))?;
-        let id = v
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("response needs a string `id`"))?
-            .to_string();
-        let body = v
-            .get("body")
-            .ok_or_else(|| bad("response needs a `body`"))?;
-        let fields = body
-            .as_object()
-            .ok_or_else(|| bad("response `body` must be an object"))?;
-        let [(kind, payload)] = fields else {
-            return Err(bad("response `body` must have exactly one key"));
-        };
-        let num = |key: &str| -> Result<u64> {
-            payload
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(format!("`{kind}` needs a u64 `{key}`")))
-        };
-        let body = match kind.as_str() {
-            "report" => ResponseBody::Report(ScenarioReport::from_json(payload)?),
-            "sweep_report" => ResponseBody::SweepReport {
-                index: num("index")?,
-                total: num("total")?,
-                report: ScenarioReport::from_json(
-                    payload
-                        .get("report")
-                        .ok_or_else(|| bad("`sweep_report` needs a `report`"))?,
-                )?,
-            },
-            "sweep_done" => ResponseBody::SweepDone {
-                total: num("total")?,
-                failed: num("failed")?,
-            },
-            "co_opt_report" => ResponseBody::CoOpt(CoOptReport::from_json(payload)?),
-            "wafer_report" => ResponseBody::Wafer(WaferReport::from_json(payload)?),
-            "describe" => ResponseBody::Describe(ServiceInfo::from_json(payload)?),
-            "error" => ResponseBody::Error(ServiceError::from_json(payload)?),
-            other => {
-                return Err(bad(format!("unknown response body kind `{other}`")));
-            }
-        };
-        Ok(Self { schema, id, body })
     }
 }
 
@@ -1146,9 +963,14 @@ mod tests {
                     "{body} with {workers} workers: {err}"
                 );
                 let mut responses = Vec::new();
-                dispatch_line(&line(workers), &mut |r| responses.push(r), |_, _| {
-                    panic!("an over-limit request must not be dispatched")
-                });
+                dispatch_line_while(
+                    &line(workers),
+                    &mut |r| {
+                        responses.push(r);
+                        true
+                    },
+                    |_, _| panic!("an over-limit request must not be dispatched"),
+                );
                 assert_eq!(responses.len(), 1);
                 assert_eq!(responses[0].id, "w");
                 assert!(matches!(&responses[0].body,

@@ -7,30 +7,8 @@
 //! [`crate::engine::Pipeline::cache_stats`] instead.
 
 use crate::json::Json;
-use crate::{PipelineError, Result};
+use crate::Result;
 use std::path::{Path, PathBuf};
-
-fn bad_report(msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field: "report",
-        msg: msg.into(),
-    }
-}
-
-/// Required object field as f64.
-fn req_f64(v: &Json, key: &str) -> Result<f64> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad_report(format!("missing numeric field `{key}`")))
-}
-
-/// Required object field as a string.
-fn req_str(v: &Json, key: &str) -> Result<String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad_report(format!("missing string field `{key}`")))
-}
 
 /// Provenance of a Monte-Carlo-backend evaluation: how much simulation a
 /// scenario consumed and how tight the estimate at `W_min` is.
@@ -64,25 +42,6 @@ impl McBackendReport {
             ("ci_level".into(), Json::Num(self.ci_level)),
             ("converged".into(), Json::Bool(self.converged)),
         ])
-    }
-
-    /// Parse the provenance object written by [`McBackendReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        Ok(Self {
-            trials: req_f64(v, "trials")? as u64,
-            widths_evaluated: req_f64(v, "widths_evaluated")? as u64,
-            ci_lo: req_f64(v, "ci_lo")?,
-            ci_hi: req_f64(v, "ci_hi")?,
-            ci_level: req_f64(v, "ci_level")?,
-            converged: v
-                .get("converged")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad_report("missing boolean field `converged`"))?,
-        })
     }
 }
 
@@ -131,29 +90,6 @@ impl FaultReport {
             ("method".into(), Json::Str(self.method.clone())),
             ("met_target".into(), Json::Bool(self.met_target)),
         ])
-    }
-
-    /// Parse the provenance object written by [`FaultReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        Ok(Self {
-            purity: req_f64(v, "purity")?,
-            mode: req_str(v, "mode")?,
-            p_short: req_f64(v, "p_short")?,
-            scheme: req_str(v, "scheme")?,
-            area_overhead: req_f64(v, "area_overhead")?,
-            p_budget: req_f64(v, "p_budget")?,
-            recovered_yield: req_f64(v, "recovered_yield")?,
-            shortfall: req_f64(v, "shortfall")?,
-            method: req_str(v, "method")?,
-            met_target: v
-                .get("met_target")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad_report("missing boolean field `met_target`"))?,
-        })
     }
 }
 
@@ -236,54 +172,6 @@ impl ScenarioReport {
         }
         Json::Obj(fields)
     }
-
-    /// Parse a report object written by [`ScenarioReport::to_json`] — the
-    /// client half of the service wire format.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad_report("report must be an object"));
-        }
-        Ok(Self {
-            name: req_str(v, "name")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad_report("missing u64 field `seed`"))?,
-            library: req_str(v, "library")?,
-            node_nm: req_f64(v, "node_nm")?,
-            corner: req_str(v, "corner")?,
-            correlation: req_str(v, "correlation")?,
-            backend: req_str(v, "backend")?,
-            yield_target: req_f64(v, "yield_target")?,
-            m_transistors: req_f64(v, "m_transistors")?,
-            m_min: req_f64(v, "m_min")?,
-            m_r_min: req_f64(v, "m_r_min")?,
-            relaxation: req_f64(v, "relaxation")?,
-            p_req: req_f64(v, "p_req")?,
-            w_min_nm: req_f64(v, "w_min_nm")?,
-            p_at_w_min: req_f64(v, "p_at_w_min")?,
-            upsizing_penalty: req_f64(v, "upsizing_penalty")?,
-            unaligned_p_rf_mc: match v.get("unaligned_p_rf_mc") {
-                None => None,
-                Some(p) => Some(
-                    p.as_f64()
-                        .ok_or_else(|| bad_report("`unaligned_p_rf_mc` must be a number"))?,
-                ),
-            },
-            mc: match v.get("mc") {
-                None => None,
-                Some(mc) => Some(McBackendReport::from_json(mc)?),
-            },
-            fault: match v.get("fault") {
-                None => None,
-                Some(fault) => Some(FaultReport::from_json(fault)?),
-            },
-        })
-    }
 }
 
 /// One evaluated co-optimization candidate, as it appears in Pareto
@@ -339,35 +227,6 @@ impl ParetoPoint {
             ("p_at_w_min".into(), Json::Num(self.p_at_w_min)),
             ("relaxation".into(), Json::Num(self.relaxation)),
         ])
-    }
-
-    /// Parse a point written by [`ParetoPoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let choice = v
-            .get("choice")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_report("point needs a `choice` array"))?
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .ok_or_else(|| bad_report("`choice` entries must be non-negative integers"))
-            })
-            .collect::<Result<_>>()?;
-        Ok(Self {
-            scenario: req_str(v, "scenario")?,
-            choice,
-            demand: req_f64(v, "demand")?,
-            cost: req_f64(v, "cost")?,
-            w_min_nm: req_f64(v, "w_min_nm")?,
-            upsizing_penalty: req_f64(v, "upsizing_penalty")?,
-            p_req: req_f64(v, "p_req")?,
-            p_at_w_min: req_f64(v, "p_at_w_min")?,
-            relaxation: req_f64(v, "relaxation")?,
-        })
     }
 }
 
@@ -432,23 +291,6 @@ impl ParetoFront {
     pub fn to_json(&self) -> Json {
         Json::Arr(self.points.iter().map(ParetoPoint::to_json).collect())
     }
-
-    /// Parse a front written by [`ParetoFront::to_json`]. The points are
-    /// re-pruned on parse, so a hand-edited artifact cannot smuggle a
-    /// dominated point back in.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on malformed points.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let points = v
-            .as_array()
-            .ok_or_else(|| bad_report("front must be an array"))?
-            .iter()
-            .map(ParetoPoint::from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self::from_points(points))
-    }
 }
 
 /// One precision rung of a successive-halving ladder: how loose the
@@ -473,24 +315,6 @@ impl RungReport {
             ("evaluations".into(), Json::Num(self.evaluations as f64)),
             ("promoted".into(), Json::Num(self.promoted as f64)),
         ])
-    }
-
-    /// Parse a rung written by [`RungReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let num_u64 = |key: &str| -> Result<u64> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad_report(format!("rung needs a u64 `{key}`")))
-        };
-        Ok(Self {
-            relax: req_f64(v, "relax")?,
-            evaluations: num_u64("evaluations")?,
-            promoted: num_u64("promoted")?,
-        })
     }
 }
 
@@ -530,32 +354,6 @@ impl SearchReport {
                 Json::Arr(self.rungs.iter().map(RungReport::to_json).collect()),
             ),
         ])
-    }
-
-    /// Parse a block written by [`SearchReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let num_u64 = |key: &str| -> Result<u64> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad_report(format!("search block needs a u64 `{key}`")))
-        };
-        let rungs = v
-            .get("rungs")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_report("search block needs a `rungs` array"))?
-            .iter()
-            .map(RungReport::from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            generations: num_u64("generations")?,
-            coarse_evaluations: num_u64("coarse_evaluations")?,
-            final_evaluations: num_u64("final_evaluations")?,
-            rungs,
-        })
     }
 }
 
@@ -604,35 +402,6 @@ impl CoOptReport {
         fields.push(("best".into(), self.best.to_json()));
         fields.push(("front".into(), self.front.to_json()));
         Json::Obj(fields)
-    }
-
-    /// Parse a report written by [`CoOptReport::to_json`] — the client
-    /// half of the `co_opt` wire format.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::InvalidSpec`] on missing or mistyped fields.
-    pub fn from_json(v: &Json) -> Result<Self> {
-        let num_u64 = |key: &str| -> Result<u64> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad_report(format!("missing u64 field `{key}`")))
-        };
-        Ok(Self {
-            name: req_str(v, "name")?,
-            searcher: req_str(v, "searcher")?,
-            seed: num_u64("seed")?,
-            candidates: num_u64("candidates")?,
-            evaluations: num_u64("evaluations")?,
-            search: v.get("search").map(SearchReport::from_json).transpose()?,
-            best: ParetoPoint::from_json(
-                v.get("best").ok_or_else(|| bad_report("missing `best`"))?,
-            )?,
-            front: ParetoFront::from_json(
-                v.get("front")
-                    .ok_or_else(|| bad_report("missing `front`"))?,
-            )?,
-        })
     }
 }
 
@@ -726,11 +495,7 @@ mod tests {
         assert_eq!(reparsed.get("name").unwrap().as_str(), Some("a/b c"));
         assert!(reparsed.get("unaligned_p_rf_mc").is_none());
         assert!(reparsed.get("mc").is_none());
-        assert_eq!(
-            ScenarioReport::from_json(&reparsed).unwrap(),
-            r,
-            "reports round-trip through the wire format"
-        );
+        assert_eq!(reparsed, json, "reports round-trip through the wire format");
     }
 
     #[test]
@@ -745,17 +510,15 @@ mod tests {
             ci_level: 0.95,
             converged: false,
         });
-        let back =
-            ScenarioReport::from_json(&Json::parse(&r.to_json().to_string_pretty()).unwrap())
-                .unwrap();
-        assert_eq!(back, r);
-        assert!(
-            ScenarioReport::from_json(&Json::Num(1.0)).is_err(),
-            "non-objects are rejected"
+        let json = r.to_json();
+        assert_eq!(Json::parse(&json.to_string_pretty()).unwrap(), json);
+        assert_eq!(
+            json.get("unaligned_p_rf_mc").unwrap().as_f64(),
+            Some(4.5e-7)
         );
-        assert!(
-            ScenarioReport::from_json(&Json::Obj(vec![])).is_err(),
-            "missing fields are rejected"
+        assert_eq!(
+            json.get("mc").unwrap().get("trials").unwrap().as_f64(),
+            Some(1000.0)
         );
     }
 
@@ -800,7 +563,7 @@ mod tests {
             Some("repairable-tile")
         );
         assert_eq!(fault.get("met_target").unwrap().as_bool(), Some(true));
-        assert_eq!(ScenarioReport::from_json(&reparsed).unwrap(), r);
+        assert_eq!(reparsed, r.to_json());
         // Absent on fault-free reports.
         assert!(report("plain").to_json().get("fault").is_none());
     }

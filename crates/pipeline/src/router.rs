@@ -263,7 +263,9 @@ impl Client {
 
 /// One request travelling through a shard queue.
 struct Job {
-    line: String,
+    /// The request line, or the answer to a line the caller would not
+    /// read in whole ([`ShardRouter::reject`]).
+    line: Result<String, ServiceError>,
     /// The router's parse of `line` (`None` when it is not JSON), reused
     /// for the warm-tier key.
     doc: Option<Json>,
@@ -507,7 +509,7 @@ impl ShardRouter {
     /// producer (the stdin daemon loop), where slowing the producer is
     /// better than shedding its requests.
     pub fn submit(&self, line: impl Into<String>, client: &Client) {
-        self.enqueue(line.into(), client, true);
+        self.enqueue(Ok(line.into()), client, true);
     }
 
     /// Route one request line to its shard, **shedding** when the
@@ -515,15 +517,25 @@ impl ShardRouter {
     /// [`ErrorCode::Overloaded`] response instead of the router buffering
     /// without bound. Returns `true` when the request was admitted.
     pub fn try_submit(&self, line: impl Into<String>, client: &Client) -> bool {
-        self.enqueue(line.into(), client, false)
+        self.enqueue(Ok(line.into()), client, false)
     }
 
-    fn enqueue(&self, line: String, client: &Client, block: bool) -> bool {
+    /// Answer `error` under the empty id in its turn: it is queued on that
+    /// id's shard like an unparseable line, so it arrives after the
+    /// answers to the lines routed there before it. For a line the caller
+    /// would not read in whole (the `repro serve` line-byte limit).
+    /// `block` picks [`ShardRouter::submit`]'s admission or
+    /// [`ShardRouter::try_submit`]'s; returns `true` when it was admitted.
+    pub fn reject(&self, error: ServiceError, client: &Client, block: bool) -> bool {
+        self.enqueue(Err(error), client, block)
+    }
+
+    fn enqueue(&self, line: Result<String, ServiceError>, client: &Client, block: bool) -> bool {
         // Parse once here: the id picks the shard and addresses a
         // potential shed response, and the shard keys the warm tier on the
-        // same tree. Unparseable lines route to shard 0, which answers
-        // them with the structured parse error.
-        let doc = Json::parse(&line).ok();
+        // same tree. Unparseable lines route to the empty id's shard,
+        // which answers them with the structured parse error.
+        let doc = line.as_deref().ok().and_then(|line| Json::parse(line).ok());
         let id = doc.as_ref().map(recover_id).unwrap_or_default();
         let index = shard_for(&id, self.shards.len());
         let shard = &self.shards[index];
@@ -625,6 +637,18 @@ fn shard_loop<S: LineServer>(
             counters.cancelled.fetch_add(1, Ordering::Relaxed);
             continue;
         }
+        let line = match job.line {
+            Ok(line) => line,
+            Err(error) => {
+                let counter = if job.client.emit(YieldResponse::error(&job.id, error)) {
+                    &counters.served
+                } else {
+                    &counters.cancelled
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+        };
         let key = job.doc.as_ref().and_then(warm_key);
         if let Some(key) = &key {
             let hit = warm.lock().expect("warm tier lock").get(key).cloned();
@@ -644,7 +668,7 @@ fn shard_loop<S: LineServer>(
             warm_misses.fetch_add(1, Ordering::Relaxed);
         }
         let mut bodies = key.as_ref().map(|_| Vec::new());
-        let completed = server.serve_line(&job.line, &mut |response| {
+        let completed = server.serve_line(&line, &mut |response| {
             if let Some(bodies) = bodies.as_mut() {
                 bodies.push(response.body.clone());
             }

@@ -8,11 +8,13 @@
 //!
 //! * typed — [`YieldService::evaluate`], [`YieldService::sweep`] (returns
 //!   a streaming [`SweepHandle`]), [`YieldService::describe`];
-//! * envelopes — [`YieldService::stream`] / [`YieldService::handle`] map
-//!   a [`YieldRequest`] to one or more [`YieldResponse`]s;
+//! * envelopes — [`YieldService::handle`] maps a [`YieldRequest`] to its
+//!   [`YieldResponse`]s, and [`YieldService::stream_while`] streams them
+//!   to a callback that can cancel the rest;
 //! * wire — [`YieldService::handle_line`] parses one JSON-lines request
 //!   and never fails, turning every problem into a structured error
-//!   response (the `repro serve` daemon loop).
+//!   response; [`YieldService::handle_line_while`] is its cancellable form
+//!   (the `repro serve` daemon loop).
 //!
 //! Determinism contract: responses are a pure function of the request
 //! (plus the seed it carries). Sweeps stream reports in index order under
@@ -168,22 +170,13 @@ impl YieldService {
 
     /// Answer one request, streaming every response through `emit` (an
     /// `evaluate`/`describe` request emits exactly one response; a `sweep`
-    /// emits one per scenario plus a terminator).
-    pub fn stream(&self, request: &YieldRequest, emit: &mut dyn FnMut(YieldResponse)) {
-        self.stream_while(request, &mut |response| {
-            emit(response);
-            true
-        });
-    }
-
-    /// The cancellation-aware form of [`YieldService::stream`]: `emit`
-    /// returns `false` once the client is gone (disconnected mid-sweep,
-    /// shard torn down), at which point streaming stops and any in-flight
-    /// sweep is cancelled through its [`SweepHandle`] — workers stop
-    /// claiming scenarios and the shard's queue slot frees immediately
-    /// instead of computing into the void. Returns `false` when the
-    /// exchange was aborted that way, `true` when every response was
-    /// delivered.
+    /// emits one per scenario plus a terminator). `emit` returns `false`
+    /// once the client is gone (disconnected mid-sweep, shard torn down),
+    /// at which point streaming stops and any in-flight sweep is cancelled
+    /// through its [`SweepHandle`] — workers stop claiming scenarios and
+    /// the shard's queue slot frees immediately instead of computing into
+    /// the void. Returns `false` when the exchange was aborted that way,
+    /// `true` when every response was delivered.
     pub fn stream_while(
         &self,
         request: &YieldRequest,
@@ -317,10 +310,13 @@ impl YieldService {
     }
 
     /// Answer one request, collecting all responses (convenience wrapper
-    /// over [`YieldService::stream`] for non-streaming callers).
+    /// over [`YieldService::stream_while`] for non-streaming callers).
     pub fn handle(&self, request: &YieldRequest) -> Vec<YieldResponse> {
         let mut out = Vec::new();
-        self.stream(request, &mut |response| out.push(response));
+        self.stream_while(request, &mut |response| {
+            out.push(response);
+            true
+        });
         out
     }
 
@@ -328,7 +324,10 @@ impl YieldService {
     /// input becomes a structured error response with a best-effort id —
     /// the daemon loop of `repro serve`.
     pub fn handle_line(&self, line: &str, emit: &mut dyn FnMut(YieldResponse)) {
-        crate::envelope::dispatch_line(line, emit, |request, emit| self.stream(request, emit));
+        self.handle_line_while(line, &mut |response| {
+            emit(response);
+            true
+        });
     }
 
     /// The cancellation-aware form of [`YieldService::handle_line`] (see

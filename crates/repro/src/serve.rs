@@ -27,6 +27,11 @@
 //! interleaving across ids, never bytes. Sorting a transcript makes it
 //! byte-comparable across shard counts (CI pins `--shards 1` vs `4`).
 //!
+//! A request line may be at most [`MAX_LINE_BYTES`] (8 MiB) long. A longer
+//! line is answered `bad_request` under the empty id, in turn with the
+//! lines around it; its bytes past the limit are read and dropped, never
+//! buffered.
+//!
 //! With `--admission shed`, a full shard queue answers immediately with a
 //! machine-readable `overloaded` error instead of blocking the intake
 //! loop — the back end for untrusted many-client front ends. The default
@@ -34,10 +39,44 @@
 
 use crate::common::{ReproError, Result};
 use cnfet_opt::OptService;
-use cnfet_pipeline::{Client, RouterConfig, ServiceConfig, ShardRouter};
-use std::io::{BufRead, Write};
+use cnfet_pipeline::{Client, ErrorCode, RouterConfig, ServiceConfig, ServiceError, ShardRouter};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 use std::time::Duration;
+
+/// The longest request line the daemon reads, in bytes before its `\n`.
+/// A longer line is answered `bad_request` under the empty id, and the
+/// rest of it is skipped without being buffered, so one endless line
+/// cannot exhaust memory.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// One stdin line as the intake loop receives it.
+enum Intake {
+    /// A request line, decoded lossily.
+    Line(String),
+    /// A line longer than [`MAX_LINE_BYTES`].
+    TooLong,
+}
+
+/// Read the next line into `buf` (its `\n` included), buffering at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it. `None` at end of input; a longer
+/// line is skipped to its end and comes back as [`Intake::TooLong`].
+fn read_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<Intake>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Intake::TooLong));
+    }
+    let line = buf.strip_suffix(b"\n").unwrap_or(buf);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    Ok(Some(Intake::Line(
+        String::from_utf8_lossy(line).into_owned(),
+    )))
+}
 
 /// Configuration of one daemon session, parsed from the CLI.
 pub struct ServeOptions {
@@ -183,28 +222,18 @@ pub fn run(options: &ServeOptions) -> Result<()> {
     // U+FFFD, so that line is answered `bad_request` like any other
     // malformed JSON instead of ending the session. Detached by design —
     // a reader blocked on a quiet stdin must not delay a drain-and-exit.
-    let (line_tx, line_rx) = mpsc::sync_channel::<std::io::Result<String>>(64);
+    let (line_tx, line_rx) = mpsc::sync_channel::<std::io::Result<Intake>>(64);
     std::thread::spawn(move || {
         let mut stdin = std::io::stdin().lock();
         let mut buf = Vec::new();
         loop {
-            buf.clear();
-            match stdin.read_until(b'\n', &mut buf) {
-                Ok(0) => return,
-                Ok(_) => {
-                    let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
-                    let line = line.strip_suffix(b"\r").unwrap_or(line);
-                    if line_tx
-                        .send(Ok(String::from_utf8_lossy(line).into_owned()))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let _ = line_tx.send(Err(e));
-                    return;
-                }
+            let (item, last) = match read_line(&mut stdin, &mut buf) {
+                Ok(None) => return,
+                Ok(Some(intake)) => (Ok(intake), false),
+                Err(e) => (Err(e), true),
+            };
+            if line_tx.send(item).is_err() || last {
+                return;
             }
         }
     });
@@ -219,7 +248,7 @@ pub fn run(options: &ServeOptions) -> Result<()> {
             break "client hang-up";
         }
         match line_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(Ok(line)) => {
+            Ok(Ok(Intake::Line(line))) => {
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -229,6 +258,17 @@ pub fn run(options: &ServeOptions) -> Result<()> {
                         router.try_submit(line, &client);
                     }
                 }
+                accepted += 1;
+            }
+            Ok(Ok(Intake::TooLong)) => {
+                let error = ServiceError {
+                    code: ErrorCode::BadRequest,
+                    message: format!(
+                        "request line longer than {MAX_LINE_BYTES} bytes; the line was \
+                         discarded"
+                    ),
+                };
+                router.reject(error, &client, admission == Admission::Block);
                 accepted += 1;
             }
             Ok(Err(e)) => return Err(e.into()),

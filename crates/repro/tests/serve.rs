@@ -191,6 +191,47 @@ fn serve_survives_garbage_and_answers_structured_errors() {
 }
 
 #[test]
+fn serve_answers_an_over_limit_line_and_keeps_serving() {
+    // `MAX_LINE_BYTES` in `src/serve.rs`: a line may be 8 MiB long.
+    const LIMIT: usize = 8 << 20;
+    let line = |id: &str, len: usize| {
+        let head = format!(r#"{{"schema":1,"id":"{id}","pad":""#);
+        let tail = r#"","body":"describe"}"#;
+        format!("{head}{}{tail}", "x".repeat(len - head.len() - tail.len()))
+    };
+    let (at_limit, over_limit) = (line("at-limit", LIMIT), line("over", LIMIT + 1));
+    assert_eq!((at_limit.len(), over_limit.len()), (LIMIT, LIMIT + 1));
+    let script = format!(
+        "{at_limit}\n{over_limit}\n{}\n",
+        r#"{"schema":1,"id":"after","body":"describe"}"#
+    );
+    let stdout = serve_session(&["--shards", "1"], script);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "stdout:\n{stdout}");
+    // A line of exactly the limit is read and parsed as usual.
+    assert!(
+        lines[0].contains(r#""code":"unknown_key","key":"pad""#),
+        "line: {}",
+        lines[0]
+    );
+    assert_eq!(response_id(lines[0]), "at-limit");
+    // One byte more is refused unread: its id is never seen.
+    assert!(
+        lines[1].contains(r#""code":"bad_request""#),
+        "line: {}",
+        lines[1]
+    );
+    assert!(
+        lines[1].contains("longer than 8388608 bytes"),
+        "line: {}",
+        lines[1]
+    );
+    assert_eq!(response_id(lines[1]), "");
+    assert!(lines[2].contains(r#""describe""#));
+    assert_eq!(response_id(lines[2]), "after");
+}
+
+#[test]
 fn serve_rejects_out_of_range_workers_before_reading_stdin() {
     // `--workers` becomes the default of every request that omits
     // `workers`, so it has the same bound as the wire field.
